@@ -6,22 +6,26 @@
     clockwise gap [d] between adjacent IDs satisfies
     [alpha''/n^2 <= d <= alpha' ln n / n] w.h.p., so
     [ln(1/d) = Θ(ln n)] and [ln ln (1/d) = ln ln n + O(1)] — robust
-    even when the adversary withholds IDs. *)
+    even when the adversary withholds IDs.
 
-val log_inverse_gap : Ring.t -> Point.t -> float
-(** [log_inverse_gap ring id] is [ln (1/d)] where [d] is the
+    The estimators read a {!Ring.View.t}, so a newcomer mid-batch
+    estimates against the staged ring of its batch; a plain ring
+    enters through {!Ring.View.of_ring}. *)
+
+val log_inverse_gap : Ring.View.t -> Point.t -> float
+(** [log_inverse_gap view id] is [ln (1/d)] where [d] is the
     fractional clockwise distance from [id] to its successor ID.
     Requires at least two IDs. *)
 
-val ln_n : Ring.t -> Point.t -> float
+val ln_n : Ring.View.t -> Point.t -> float
 (** Estimate of [ln n] observed from [id]'s local gap:
     [ln(1/d)], clamped to be at least 1. *)
 
-val ln_ln_n : Ring.t -> Point.t -> float
+val ln_ln_n : Ring.View.t -> Point.t -> float
 (** Estimate of [ln ln n]: [ln (ln (1/d))], clamped to at least 1. *)
 
-val group_size : d:float -> Ring.t -> Point.t -> int
-(** [group_size ~d ring id] is the group size [ceil (d * ln ln n)]
+val group_size : d:float -> Ring.View.t -> Point.t -> int
+(** [group_size ~d view id] is the group size [ceil (d * ln ln n)]
     that [id] derives from its local estimate, clamped to at least 3
     (a majority needs three members). *)
 

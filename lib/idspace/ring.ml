@@ -202,6 +202,97 @@ let fold f t init =
 
 let iter f t = Array.iter f t.pts
 
+(* A staged view: the base snapshot plus a small sorted buffer of
+   pending inserts, disjoint from the base. Every query runs one binary
+   search over each array and keeps the candidate nearer clockwise, so
+   the buffer costs O(log k) on top of the base's O(log n); inserting
+   copies only the buffer. *)
+module View = struct
+  type ring = t
+
+  type nonrec t = {
+    base : ring;
+    pts : Point.t array;  (* pending inserts, sorted ascending, distinct *)
+    keys : int array;  (* Point.to_key pts.(i), same order *)
+  }
+
+  let of_ring base = { base; pts = [||]; keys = [||] }
+  let cardinal v = Array.length v.base.pts + Array.length v.pts
+
+  let mem p v =
+    mem p v.base
+    ||
+    let k = Point.to_key p in
+    let j = lower_bound v.keys k in
+    j < Array.length v.keys && Array.unsafe_get v.keys j = k
+
+  let add p v =
+    if mem p v then v
+    else begin
+      let k = Point.to_key p in
+      let m = Array.length v.pts in
+      let j = lower_bound v.keys k in
+      let pts = Array.make (m + 1) p and keys = Array.make (m + 1) k in
+      Array.blit v.pts 0 pts 0 j;
+      Array.blit v.keys 0 keys 0 j;
+      Array.blit v.pts j pts (j + 1) (m - j);
+      Array.blit v.keys j keys (j + 1) (m - j);
+      { v with pts; keys }
+    end
+
+  (* The smaller-keyed of base index [i] and buffer index [j], each
+     possibly out of range (= its array length). When both are out of
+     range the query wrapped: the answer is the smallest key overall. *)
+  let first_of v i j =
+    let b = v.base in
+    let n = Array.length b.keys and m = Array.length v.keys in
+    if i < n then
+      if j < m && Array.unsafe_get v.keys j < Array.unsafe_get b.keys i then
+        Array.unsafe_get v.pts j
+      else Array.unsafe_get b.pts i
+    else if j < m then Array.unsafe_get v.pts j
+    else if m = 0 then Array.unsafe_get b.pts 0
+    else if n = 0 || Array.unsafe_get v.keys 0 < Array.unsafe_get b.keys 0 then
+      Array.unsafe_get v.pts 0
+    else Array.unsafe_get b.pts 0
+
+  (* Mirror image of [first_of]: the larger-keyed of base index [i - 1]
+     and buffer index [j - 1], wrapping to the largest key overall. *)
+  let last_below v i j =
+    let b = v.base in
+    let n = Array.length b.keys and m = Array.length v.keys in
+    if i > 0 then
+      if j > 0 && Array.unsafe_get v.keys (j - 1) > Array.unsafe_get b.keys (i - 1)
+      then Array.unsafe_get v.pts (j - 1)
+      else Array.unsafe_get b.pts (i - 1)
+    else if j > 0 then Array.unsafe_get v.pts (j - 1)
+    else if m = 0 then Array.unsafe_get b.pts (n - 1)
+    else if n = 0 || Array.unsafe_get v.keys (m - 1) > Array.unsafe_get b.keys (n - 1)
+    then Array.unsafe_get v.pts (m - 1)
+    else Array.unsafe_get b.pts (n - 1)
+
+  let successor_key v k =
+    if cardinal v = 0 then raise Not_found;
+    first_of v (lower_bound v.base.keys k) (lower_bound v.keys k)
+
+  let strict_successor_key v k =
+    if cardinal v = 0 then raise Not_found;
+    first_of v (upper_bound v.base.keys k) (upper_bound v.keys k)
+
+  let successor_exn v x = successor_key v (Point.to_key x)
+
+  let strict_successor v x =
+    if cardinal v = 0 then None else Some (strict_successor_key v (Point.to_key x))
+
+  let predecessor v x =
+    if cardinal v = 0 then None
+    else
+      let k = Point.to_key x in
+      Some (last_below v (lower_bound v.base.keys k) (lower_bound v.keys k))
+
+  let to_ring v = add_batch (Array.to_list v.pts) v.base
+end
+
 let random_member rng t =
   let n = Array.length t.pts in
   if n = 0 then invalid_arg "Ring.random_member: empty ring";

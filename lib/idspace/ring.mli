@@ -78,6 +78,49 @@ val fold : (Point.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Point.t -> unit) -> t -> unit
 (** Ascending ring position, like the sorted array. *)
 
+(** A staged ring: a base snapshot plus a small sorted buffer of
+    pending inserts. A churn batch of [k] joins that replays each
+    newcomer against the ring holding the earlier ones uses a view
+    instead of [k] {!add} copies: each insert costs O(k), each query
+    O(log n + log k), and the batch ends with one O(n + k)
+    {!add_batch} merge ({!View.to_ring}). A plain ring is a view with
+    an empty buffer ({!View.of_ring}, O(1)), so a neighbour rule
+    written against the view serves both. Queries answer exactly like
+    the same functions on the ring the view stands for; the plain
+    {!t} queries above are unchanged and pay nothing for it. *)
+module View : sig
+  type ring := t
+  type t
+
+  val of_ring : ring -> t
+
+  val to_ring : t -> ring
+  (** The ring the view stands for: the base itself when nothing is
+      pending, else one {!add_batch} merge. *)
+
+  val add : Point.t -> t -> t
+  (** Stage one insert; O(k) buffer copy. A present point returns the
+      view unchanged. *)
+
+  val mem : Point.t -> t -> bool
+  val cardinal : t -> int
+
+  val successor_exn : t -> Point.t -> Point.t
+  (** @raise Not_found when empty. *)
+
+  val strict_successor : t -> Point.t -> Point.t option
+  val predecessor : t -> Point.t -> Point.t option
+
+  val successor_key : t -> int -> Point.t
+  (** {!successor_exn} for the point whose native key
+      ({!Point.to_key}) is [k]; no boxed argument.
+      @raise Not_found when empty. *)
+
+  val strict_successor_key : t -> int -> Point.t
+  (** {!strict_successor} on a native key, unwrapped.
+      @raise Not_found when empty. *)
+end
+
 val random_member : Prng.Rng.t -> t -> Point.t
 (** Uniform member of a non-empty ring: one PRNG draw, one array
     index. *)

@@ -1,42 +1,59 @@
 open Idspace
 
-let fingers ring w =
-  let acc = ref [] in
-  for j = 61 downto 0 do
-    let target = Point.add_cw w (Int64.shift_left 1L j) in
-    let f = Ring.successor_exn ring target in
-    if not (Point.equal f w) then
-      match !acc with
-      | prev :: _ when Point.equal prev f -> ()
-      | _ -> acc := f :: !acc
-  done;
-  (* Collected from high stride to low; consecutive-dedup above removes
-     most duplicates, a final pass removes the rest. *)
-  List.sort_uniq Point.compare !acc
+(* The fingers [suc(w + 2^j)], j = 0..61, over a (staged) ring. Every
+   stride 2^j at or below the gap from [w] to its strict successor [s]
+   lands in (w, s], whose successor is [s], so [s] stands for all of
+   them and only the strides above the gap need a search: about
+   log2(2^62 / gap) of them, ~17 at n = 2^16 instead of 62. The
+   targets are native keys ([(kw + 2^j) land key_mask] is
+   [Point.add_cw w 2^j]), so no search boxes its argument. *)
+let fingers_in view w =
+  let kw = Point.to_key w in
+  let s = Ring.View.strict_successor_key view kw in
+  (* [s = w] only on a singleton ring holding [w]: every finger is [w]. *)
+  if Point.equal s w then []
+  else begin
+    let gap = (Point.to_key s - kw) land Point.key_mask in
+    (* Collected from high stride to low; consecutive-dedup removes
+       most duplicates, the final sort the rest. *)
+    let acc = ref [ s ] in
+    let j = ref 61 in
+    while 1 lsl !j > gap do
+      let f = Ring.View.successor_key view ((kw + (1 lsl !j)) land Point.key_mask) in
+      (if not (Point.equal f w) then
+         match !acc with
+         | prev :: _ when Point.equal prev f -> ()
+         | _ -> acc := f :: !acc);
+      decr j
+    done;
+    List.sort_uniq Point.compare !acc
+  end
 
-let neighbors_of ring w =
-  let base = fingers ring w in
-  let with_pred =
-    match Ring.predecessor ring w with
-    | Some p when not (Point.equal p w) -> p :: base
-    | _ -> base
-  in
-  List.sort_uniq Point.compare with_pred
+let fingers ring w = fingers_in (Ring.View.of_ring ring) w
 
-let make ring =
+let neighbors_in view w =
+  let base = fingers_in view w in
+  match Ring.View.predecessor view w with
+  | Some p when not (Point.equal p w) -> List.sort_uniq Point.compare (p :: base)
+  | _ -> base
+
+let neighbors_of ring w = neighbors_in (Ring.View.of_ring ring) w
+
+let rec make ring =
   if Ring.cardinal ring = 0 then invalid_arg "Chord.make: empty ring";
   (* Neighbour memo indexed by ring rank — a flat array instead of a
      boxed-int64 hash table. Off-ring queries (rare; e.g. a probe for
      an ID mid-join) compute uncached. *)
   let memo : Point.t list option array = Array.make (Ring.cardinal ring) None in
+  let view = Ring.View.of_ring ring in
   let neighbors w =
     let r = Ring.rank ring w in
-    if r < 0 then neighbors_of ring w
+    if r < 0 then neighbors_in view w
     else
       match memo.(r) with
       | Some ns -> ns
       | None ->
-          let ns = neighbors_of ring w in
+          let ns = neighbors_in view w in
           memo.(r) <- Some ns;
           ns
   in
@@ -96,4 +113,12 @@ let make ring =
       go src [ src ] 0
     end
   in
-  { Overlay_intf.name = "chord"; ring; neighbors; route; max_hops }
+  {
+    Overlay_intf.name = "chord";
+    ring;
+    neighbors;
+    route;
+    max_hops;
+    neighbors_in;
+    rebuild = make;
+  }

@@ -16,11 +16,16 @@ val make : Ring.t -> Overlay_intf.t
 
 val fingers : Ring.t -> Point.t -> Point.t list
 (** The raw finger list of one ID (deduplicated, excludes the ID
-    itself); exposed for tests. *)
+    itself); exposed for tests. Cost: one strict-successor search,
+    then one search per stride [2^j] above the gap [g] to that
+    successor, [62 - floor(log2 g)] searches in all (about 17 at
+    [N = 2^16]) instead of one per stride: every stride at or below
+    the gap lands on the successor. *)
 
 val neighbors_of : Ring.t -> Point.t -> Point.t list
 (** One ID's neighbour list (fingers plus ring predecessor), computed
     directly against [ring] with no memo — value-identical to what a
-    {!make} view answers. Batched membership changes query growing
-    ring states through this instead of rebuilding a memoised view
-    per change. *)
+    {!make} view answers. The view's [neighbors_in] is the same rule
+    over a staged ring ({!Ring.View}); {!make}'s memo fills through
+    it too, so there is one implementation. Same cost as {!fingers},
+    plus a predecessor search. *)

@@ -1,9 +1,8 @@
 open Idspace
 
-(* Chord++ shares Chord's linking rule; only routing differs. *)
-let neighbors_of = Chord.neighbors_of
-
-let make ?(salt = 0) ring =
+(* Chord++ shares Chord's linking rule (memo included); only routing
+   differs. *)
+let rec make ?(salt = 0) ring =
   if Ring.cardinal ring = 0 then invalid_arg "Chord_pp.make: empty ring";
   let base = Chord.make ring in
   let neighbors = base.Overlay_intf.neighbors in
@@ -79,4 +78,6 @@ let make ?(salt = 0) ring =
     neighbors;
     route;
     max_hops = base.Overlay_intf.max_hops * 2;
+    neighbors_in = base.Overlay_intf.neighbors_in;
+    rebuild = (fun ring -> make ~salt ring);
   }

@@ -9,18 +9,24 @@ let half_point ~bit p =
   Point.of_u62 (Int64.logor shifted top)
 
 (* All ring members whose responsibility arc intersects the clockwise
-   arc (from, until]: the members inside the arc plus suc(until). *)
-let nodes_covering ring ~from ~until =
-  let acc = ref [ Ring.successor_exn ring until ] in
-  let rec walk m =
-    if Point.in_cw_range ~from ~until m then begin
-      acc := m :: !acc;
-      match Ring.strict_successor ring m with
-      | Some next when not (Point.equal next m) -> walk next
-      | _ -> ()
-    end
-  in
-  (match Ring.strict_successor ring from with Some m -> walk m | None -> ());
+   arc (from, until]: the members inside the arc plus suc(until). An
+   arc with [from = until] is the image of an arc at most one key wide
+   (halving drops the low bit) and holds no key, so only suc(until)
+   covers it; reading it as the full ring would walk the ring
+   forever. *)
+let nodes_covering view ~from ~until =
+  let acc = ref [ Ring.View.successor_exn view until ] in
+  if not (Point.equal from until) then begin
+    let rec walk m =
+      if Point.in_cw_range ~from ~until m then begin
+        acc := m :: !acc;
+        match Ring.View.strict_successor view m with
+        | Some next when not (Point.equal next m) -> walk next
+        | _ -> ()
+      end
+    in
+    match Ring.View.strict_successor view from with Some m -> walk m | None -> ()
+  end;
   List.sort_uniq Point.compare !acc
 
 (* Images of an arc under one halving map. A wrapping arc is split at
@@ -35,15 +41,15 @@ let halving_steps n =
   let lg = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)) in
   lg + 4
 
-let neighbors_of ring w =
-  let pred = match Ring.predecessor ring w with Some p -> p | None -> w in
-  let succ = match Ring.strict_successor ring w with Some s -> s | None -> w in
+let neighbors_in view w =
+  let pred = match Ring.View.predecessor view w with Some p -> p | None -> w in
+  let succ = match Ring.View.strict_successor view w with Some s -> s | None -> w in
   (* Our responsibility arc is (pred, w]. *)
   let image_nodes =
     List.concat_map
       (fun bit ->
         List.concat_map
-          (fun (a, b) -> nodes_covering ring ~from:a ~until:b)
+          (fun (a, b) -> nodes_covering view ~from:a ~until:b)
           (arc_images ~bit ~from:pred ~until:w))
       [ false; true ]
   in
@@ -51,19 +57,20 @@ let neighbors_of ring w =
     (fun u -> not (Point.equal u w))
     (List.sort_uniq Point.compare (pred :: succ :: image_nodes))
 
-let make ring =
+let rec make ring =
   let n = Ring.cardinal ring in
   if n = 0 then invalid_arg "Debruijn.make: empty ring";
   (* Rank-indexed neighbour memo (see {!Chord.make}). *)
   let memo : Point.t list option array = Array.make n None in
+  let view = Ring.View.of_ring ring in
   let neighbors w =
     let r = Ring.rank ring w in
-    if r < 0 then neighbors_of ring w
+    if r < 0 then neighbors_in view w
     else
       match memo.(r) with
       | Some ns -> ns
       | None ->
-          let ns = neighbors_of ring w in
+          let ns = neighbors_in view w in
           memo.(r) <- Some ns;
           ns
   in
@@ -110,4 +117,12 @@ let make ring =
       List.rev !path
     end
   in
-  { Overlay_intf.name = "debruijn"; ring; neighbors; route; max_hops = steps + 4 }
+  {
+    Overlay_intf.name = "debruijn";
+    ring;
+    neighbors;
+    route;
+    max_hops = steps + 4;
+    neighbors_in;
+    rebuild = make;
+  }

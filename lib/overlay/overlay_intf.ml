@@ -34,6 +34,15 @@ type t = {
           [suc key]. Every consecutive pair is a (directed) neighbour
           link. *)
   max_hops : int;  (** Upper bound on path length (diameter proxy). *)
+  neighbors_in : Ring.View.t -> Point.t -> Point.t list;
+      (** The same linking rule, memo-free, over any (staged) ring:
+          [neighbors_in (Ring.View.of_ring ring)] answers like
+          [neighbors]. Batched joins query the growing ring of a
+          batch through this without building a view per newcomer. *)
+  rebuild : Ring.t -> t;
+      (** The same construction, with the same parameters (e.g. a
+          Chord++ salt), over a changed ring. Every call is a full
+          reconstruction with a fresh neighbour memo. *)
 }
 
 let responsible t key = Ring.successor_exn t.ring key

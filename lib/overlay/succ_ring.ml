@@ -1,14 +1,15 @@
 open Idspace
 
-let neighbors_of ring w =
-  let pred = match Ring.predecessor ring w with Some p -> p | None -> w in
-  let succ = match Ring.strict_successor ring w with Some s -> s | None -> w in
+let neighbors_in view w =
+  let pred = match Ring.View.predecessor view w with Some p -> p | None -> w in
+  let succ = match Ring.View.strict_successor view w with Some s -> s | None -> w in
   List.filter (fun u -> not (Point.equal u w)) (List.sort_uniq Point.compare [ pred; succ ])
 
-let make ring =
+let rec make ring =
   let n = Ring.cardinal ring in
   if n = 0 then invalid_arg "Succ_ring.make: empty ring";
-  let neighbors w = neighbors_of ring w in
+  let view = Ring.View.of_ring ring in
+  let neighbors w = neighbors_in view w in
   let route ~src ~key =
     let resp = Ring.successor_exn ring key in
     let rec walk current acc hops =
@@ -24,4 +25,12 @@ let make ring =
     in
     walk src [ src ] 0
   in
-  { Overlay_intf.name = "succ-ring"; ring; neighbors; route; max_hops = n }
+  {
+    Overlay_intf.name = "succ-ring";
+    ring;
+    neighbors;
+    route;
+    max_hops = n;
+    neighbors_in;
+    rebuild = make;
+  }

@@ -9,8 +9,3 @@
 open Idspace
 
 val make : Ring.t -> Overlay_intf.t
-
-val neighbors_of : Ring.t -> Point.t -> Point.t list
-(** One ID's neighbour list (ring predecessor and successor), computed
-    directly against [ring] — value-identical to what a {!make} view
-    answers. See {!Chord.neighbors_of}. *)

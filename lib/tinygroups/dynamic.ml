@@ -12,44 +12,19 @@ type cost = {
   member_updates : int;
 }
 
-(* Rebuild the same overlay construction over a changed ring. Every
-   call is a full reconstruction (fresh neighbour memo), so batch
-   operations must route exactly one call through here per batch —
-   counted under [overlay.rebuilds] where a metrics table is in
-   scope, and asserted at the unit level. *)
-let rebuild_overlay (ov : Overlay.Overlay_intf.t) ring =
-  match ov.Overlay.Overlay_intf.name with
-  | "chord" -> Overlay.Chord.make ring
-  | "chord++" -> Overlay.Chord_pp.make ring
-  | "debruijn" -> Overlay.Debruijn.make ring
-  | "succ-ring" -> Overlay.Succ_ring.make ring
-  | other -> invalid_arg ("Dynamic: unknown overlay construction " ^ other)
-
-(* Memo-free neighbour query under the same construction over an
-   arbitrary ring — value-identical to what a rebuilt view would
-   answer, without the O(n) memo allocation. Batched joins query the
-   growing intermediate rings through this, which is what makes the
-   batch O(1) rebuilds instead of O(k). *)
-let neighbors_in (ov : Overlay.Overlay_intf.t) ring w =
-  match ov.Overlay.Overlay_intf.name with
-  | "chord" -> Overlay.Chord.neighbors_of ring w
-  | "chord++" -> Overlay.Chord_pp.neighbors_of ring w
-  | "debruijn" -> Overlay.Debruijn.neighbors_of ring w
-  | "succ-ring" -> Overlay.Succ_ring.neighbors_of ring w
-  | other -> invalid_arg ("Dynamic: unknown overlay construction " ^ other)
-
 (* Leaders whose finger/successor linking rule touches [id]'s arc:
    for Chord-style rules, v with v + 2^j in (pred(id), id] for some
    j, plus id's ring neighbours. The generic filter against the
    overlay's own neighbour function keeps this sound for any
    construction (it may under-enumerate for exotic rules; Chord,
-   Chord++ and the successor ring are covered exactly). *)
-let capture_candidates ring ~id =
-  let pred = match Ring.predecessor ring id with Some p -> p | None -> id in
+   Chord++ and the successor ring are covered exactly). Reads a staged
+   ring, so a batch's newcomers see the earlier ones. *)
+let capture_candidates view ~id =
+  let pred = match Ring.View.predecessor view id with Some p -> p | None -> id in
   let acc = ref [] in
   let add v = if not (Point.equal v id) then acc := v :: !acc in
   add pred;
-  (match Ring.strict_successor ring id with Some s -> add s | None -> ());
+  (match Ring.View.strict_successor view id with Some s -> add s | None -> ());
   for j = 0 to 61 do
     let stride = Int64.shift_left 1L j in
     (* v in (pred - 2^j, id - 2^j]: walk the arc. *)
@@ -59,32 +34,32 @@ let capture_candidates ring ~id =
       if steps > 8 then () (* arcs hold O(1) IDs in expectation; cap the scan *)
       else if Point.in_cw_range ~from ~until v then begin
         add v;
-        match Ring.strict_successor ring v with
+        match Ring.View.strict_successor view v with
         | Some next when not (Point.equal next v) -> walk next (steps + 1)
         | _ -> ()
       end
     in
-    (match Ring.strict_successor ring from with Some v -> walk v 0 | None -> ())
+    (match Ring.View.strict_successor view from with Some v -> walk v 0 | None -> ())
   done;
   List.sort_uniq Point.compare !acc
 
 let captured_by g ~id =
-  let pop = Group_graph.population g in
-  let ring = Ring.add id (Population.ring pop) in
+  let ring = Population.ring (Group_graph.population g) in
+  let view = Ring.View.add id (Ring.View.of_ring ring) in
   let overlay = Group_graph.overlay g in
   List.filter
     (fun v ->
-      Ring.mem v (Population.ring pop)
-      && List.exists (Point.equal id) (neighbors_in overlay ring v))
-    (capture_candidates ring ~id)
+      Ring.mem v ring
+      && List.exists (Point.equal id) (overlay.Overlay.Overlay_intf.neighbors_in view v))
+    (capture_candidates view ~id)
 
 let existing_groups g =
   Array.to_list
     (Array.map (fun w -> (w, Group_graph.group_of g w)) (Group_graph.leaders g))
 
-(* One newcomer's join protocol against [ring] (the population plus
+(* One newcomer's join protocol against [view] (the population plus
    the batch's earlier newcomers plus [id] itself), verified by the
-   groups already present in [prev_ring]:
+   groups already present in [prev]:
 
    1. solicit members for the newcomer's group through the old graphs
       (each solicitation is up to four routed searches: a dual lookup
@@ -99,13 +74,15 @@ let existing_groups g =
    (one base draw per ID, in batch order) and every per-ID draw
    sequence matches exactly; the join_many ≡ fold law in the test
    suite holds by construction. All overlay queries go through the
-   memo-free [neighbors_in], so this never rebuilds a view. *)
-let join_one rng metrics ~params ~old_pair ~member_oracle ~overlay ~prev_ring
-    ~ring ~searches ~id =
+   construction's memo-free [neighbors_in], so this never rebuilds an
+   overlay. *)
+let join_one rng metrics ~params ~old_pair ~member_oracle ~overlay ~prev ~view
+    ~searches ~id =
+  let neighbors_in = overlay.Overlay.Overlay_intf.neighbors_in view in
   let idrng = Prng.Rng.of_subkey (Prng.Rng.bits64 rng) (Point.to_u62 id) in
   let draws =
     Params.member_draws_estimated params
-      ~ln_ln_estimate:(Estimate.ln_ln_n ring id)
+      ~ln_ln_estimate:(Estimate.ln_ln_n view id)
   in
   let members = ref [] in
   for i = 1 to draws do
@@ -133,14 +110,12 @@ let join_one rng metrics ~params ~old_pair ~member_oracle ~overlay ~prev_ring
       (fun u ->
         searches := !searches + 4;
         Membership.establish_neighbor idrng metrics old_pair ~target:u)
-      (neighbors_in overlay ring id)
+      (neighbors_in id)
   in
   let captured =
     List.filter
-      (fun v ->
-        Ring.mem v prev_ring
-        && List.exists (Point.equal id) (neighbors_in overlay ring v))
-      (capture_candidates ring ~id)
+      (fun v -> Ring.View.mem v prev && List.exists (Point.equal id) (neighbors_in v))
+      (capture_candidates view ~id)
   in
   let newly_confused =
     List.filter
@@ -179,8 +154,9 @@ let join ?pow rng metrics g ~old_pair ~member_oracle ~id ~bad =
   let searches = ref 0 in
   let grp, ok, captured, newly_confused =
     join_one rng metrics ~params ~old_pair ~member_oracle
-      ~overlay:(Group_graph.overlay g) ~prev_ring:(Population.ring pop)
-      ~ring:new_ring ~searches ~id
+      ~overlay:(Group_graph.overlay g)
+      ~prev:(Ring.View.of_ring (Population.ring pop))
+      ~view:(Ring.View.of_ring new_ring) ~searches ~id
   in
   let confused =
     (if ok then [] else [ id ]) @ newly_confused @ Group_graph.confused_leaders g
@@ -188,7 +164,7 @@ let join ?pow rng metrics g ~old_pair ~member_oracle ~id ~bad =
   let groups = (id, grp) :: existing_groups g in
   (* The single overlay reconstruction of this join. *)
   Sim.Metrics.incr metrics Sim.Metrics.overlay_rebuilds;
-  let new_overlay = rebuild_overlay (Group_graph.overlay g) new_ring in
+  let new_overlay = (Group_graph.overlay g).Overlay.Overlay_intf.rebuild new_ring in
   let g' =
     Group_graph.assemble ~params ~population:new_pop ~overlay:new_overlay ~groups
       ~confused:(List.sort_uniq Point.compare confused) ()
@@ -231,21 +207,23 @@ let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
        would — the j-th newcomer estimates, links and is verified
        against the ring holding the first j-1 newcomers, with the
        identity-keyed draw discipline of {!join_one} — but keep only
-       the growing ring: the intermediate populations, group lists and
-       graph assemblies of the fold are never built, and every overlay
-       query goes through the memo-free [neighbors_in]. Joins never
-       modify existing groups, so the batch pays one {!Ring.add} per
-       newcomer plus a single final population merge, overlay rebuild
-       and assembly — O(1) rebuilds, like {!depart_many}. *)
-    let ring = ref ring0 in
+       the growing ring, as a staged {!Ring.View} over the pre-batch
+       ring: the intermediate populations, group lists and graph
+       assemblies of the fold are never built, and every overlay query
+       goes through the construction's memo-free [neighbors_in]. Joins
+       never modify existing groups, so the batch pays an O(k) buffer
+       insert per newcomer (queries stay O(log n + log k)) plus a
+       single final O(n + k) population merge, overlay rebuild and
+       assembly — O(1) rebuilds, like {!depart_many}. *)
+    let staged = ref (Ring.View.of_ring ring0) in
     List.iter
       (fun (id, _bad) ->
-        let prev_ring = !ring in
-        let new_ring = Ring.add id prev_ring in
-        ring := new_ring;
+        let prev = !staged in
+        let view = Ring.View.add id prev in
+        staged := view;
         let grp, ok, captured, newly_confused =
-          join_one rng metrics ~params ~old_pair ~member_oracle ~overlay:overlay0
-            ~prev_ring ~ring:new_ring ~searches ~id
+          join_one rng metrics ~params ~old_pair ~member_oracle ~overlay:overlay0 ~prev
+            ~view ~searches ~id
         in
         if not ok then new_confused := id :: !new_confused;
         new_confused := newly_confused @ !new_confused;
@@ -261,7 +239,7 @@ let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
     let new_pop = Population.add_batch pop0 ~good ~bad in
     (* The single overlay reconstruction of the whole batch. *)
     Sim.Metrics.incr metrics Sim.Metrics.overlay_rebuilds;
-    let new_overlay = rebuild_overlay overlay0 (Population.ring new_pop) in
+    let new_overlay = overlay0.Overlay.Overlay_intf.rebuild (Population.ring new_pop) in
     let confused =
       List.sort_uniq Point.compare (!new_confused @ Group_graph.confused_leaders g)
     in
@@ -297,11 +275,11 @@ let depart g ~id =
       (fun v ->
         (not (Point.equal v id))
         && List.exists (Point.equal id) ((Group_graph.overlay g).Overlay.Overlay_intf.neighbors v))
-      (capture_candidates (Population.ring pop) ~id)
+      (capture_candidates (Ring.View.of_ring (Population.ring pop)) ~id)
   in
   let new_pop = Population.remove pop id in
   let new_ring = Population.ring new_pop in
-  let new_overlay = rebuild_overlay (Group_graph.overlay g) new_ring in
+  let new_overlay = (Group_graph.overlay g).Overlay.Overlay_intf.rebuild new_ring in
   let n_hint = Population.n new_pop in
   (* Groups containing the departing ID lose a member. *)
   let member_updates = ref 0 in
@@ -353,6 +331,7 @@ let depart_many g ~ids =
   else begin
     let params = Group_graph.params g in
     let overlay0 = Group_graph.overlay g in
+    let view0 = Ring.View.of_ring ring0 in
     let affected =
       List.fold_left
         (fun acc id ->
@@ -362,14 +341,14 @@ let depart_many g ~ids =
                  (fun v ->
                    (not (Point.equal v id))
                    && List.exists (Point.equal id) (overlay0.Overlay.Overlay_intf.neighbors v))
-                 (capture_candidates ring0 ~id)))
+                 (capture_candidates view0 ~id)))
         0 ids
     in
     (* One merged ring pass and one overlay rebuild for the whole
        batch — the point of batching; the per-ID fold pays both k
        times. *)
     let new_pop = Population.remove_batch pop ids in
-    let new_overlay = rebuild_overlay overlay0 (Population.ring new_pop) in
+    let new_overlay = overlay0.Overlay.Overlay_intf.rebuild (Population.ring new_pop) in
     (* Replay the membership drops exactly as the one-at-a-time fold
        would: the drop for the j-th departure classifies against
        n_hint = n - j - 1, and departed leaders leave the (ascending)

@@ -74,9 +74,13 @@ val join_many :
     verification, and the identity-keyed draw discipline of {!join})
     is replayed exactly as the one-at-a-time fold of {!join} would
     run it — the j-th newcomer sees a ring holding the first j-1,
-    queried through memo-free neighbour functions instead of per-ID
-    overlay reconstructions — so the resulting graph and aggregate
-    cost equal the fold's (pinned by a test). [?pow] charges every
+    staged as a {!Idspace.Ring.View} (an O(k) insert, O(log n + log k)
+    queries, no O(n) ring copy per newcomer) and queried through the
+    construction's memo-free [neighbors_in] instead of per-ID overlay
+    reconstructions — so the resulting graph and aggregate cost equal
+    the fold's (pinned by a test). The rebuild is the construction's
+    own [rebuild], so parameters such as a Chord++ salt carry over, as
+    they do in {!join}, {!depart} and {!depart_many}. [?pow] charges every
     newcomer's entrance fee exactly as {!join} does, in batch order.
     Raises [Invalid_argument] on a present or duplicated ID. *)
 

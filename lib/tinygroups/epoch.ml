@@ -226,6 +226,7 @@ let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
   let params = t.config.params in
   let old_pop = Group_graph.population Membership.(old.g1) in
   let new_ring = Population.ring new_pop in
+  let new_view = Ring.View.of_ring new_ring in
   let n = Ring.cardinal new_ring in
   let now = t.epoch_ in
   let phase_base =
@@ -254,7 +255,7 @@ let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
       let leader_key = Prng.Rng.subkey phase_base (Int64.of_int rank) in
       Sim.Conditions.reseed conds ~key:leader_key;
       let rng = Prng.Rng.of_int64 leader_key in
-      let ln_ln_estimate = Estimate.ln_ln_n new_ring w in
+      let ln_ln_estimate = Estimate.ln_ln_n new_view w in
       let draws = Params.member_draws_estimated params ~ln_ln_estimate in
       let members = ref [] in
       for i = 1 to draws do

@@ -111,18 +111,27 @@ module Builder = struct
     population : Population.t;
     member_oracle : Hashing.Oracle.t;
     ring : Ring.t;
+    view : Ring.View.t;  (* [ring], for the size estimate *)
     mutable scratch : int array;  (* successor ranks of the draws *)
   }
 
   let create ~params ~population ~member_oracle =
-    { params; population; member_oracle; ring = Population.ring population; scratch = Array.make 64 0 }
+    let ring = Population.ring population in
+    {
+      params;
+      population;
+      member_oracle;
+      ring;
+      view = Ring.View.of_ring ring;
+      scratch = Array.make 64 0;
+    }
 
   (* Fill [scratch] with the ranks of [suc(oracle(w, i))] for
      [i = 1 .. draws], in draw order; returns [draws]. This is the
      one member-draw code path — build, benches and the join protocol
      estimate all route through it. *)
   let draw_ranks b w =
-    let ln_ln_estimate = Estimate.ln_ln_n b.ring w in
+    let ln_ln_estimate = Estimate.ln_ln_n b.view w in
     let draws = Params.member_draws_estimated b.params ~ln_ln_estimate in
     if Array.length b.scratch < draws then b.scratch <- Array.make (2 * draws) 0;
     let wk = Point.to_u62 w in

@@ -126,53 +126,112 @@ let test_depart_many_equals_sequential () =
     (Invalid_argument "Dynamic.depart: unknown ID") (fun () ->
       ignore (Tinygroups.Dynamic.depart_many g ~ids:[ leaders.(3); leaders.(3) ]))
 
-let test_join_many_equals_sequential () =
-  (* The batched admission must replay the per-ID protocol (PRNG
-     split order included) exactly as the one-at-a-time fold: same
-     graph, same bad ring, same aggregate cost. *)
+(* One world per overlay construction: a graph built over it and the
+   old pair its newcomers solicit through. Chord++ carries a non-zero
+   salt so a rebuild that forgets it shows up in the routes. Worlds draw
+   from their own stream, so [rng]'s draws for the other tests stay as
+   they were. *)
+let world_rng = Prng.Rng.create 4040
+
+let setup_with make ~n =
+  let params = { Tinygroups.Params.default with Tinygroups.Params.beta = 0.05 } in
+  let build () =
+    let pop =
+      Adversary.Population.generate (Prng.Rng.split world_rng) ~n ~beta:0.05
+        ~strategy:Adversary.Placement.Uniform
+    in
+    Tinygroups.Group_graph.build_direct ~params ~population:pop
+      ~overlay:(make (Adversary.Population.ring pop))
+      ~member_oracle:Experiments.Common.h1 ()
+  in
+  let g1 = build () in
+  let g2 = build () in
+  (g1, Tinygroups.Membership.make_old_pair ~failure:`Majority g1 (Some g2))
+
+let worlds =
+  lazy
+    (List.map
+       (fun make -> setup_with make ~n:96)
+       [
+         Overlay.Chord.make;
+         Overlay.Chord_pp.make ~salt:5;
+         Overlay.Debruijn.make;
+         Overlay.Succ_ring.make;
+       ])
+
+let top_key = Int64.sub Point.modulus 1L
+
+(* A batch of [k] distinct newcomers absent from [g]: a third packed
+   into the gap after one leader, a third within 2^20 keys of the wrap
+   point (either side), the rest uniform; one in four is bad. *)
+let batch_of g ~seed ~k =
+  let r = Prng.Rng.create seed in
+  let ring = Adversary.Population.ring (Tinygroups.Group_graph.population g) in
+  let leaders = Tinygroups.Group_graph.leaders g in
+  let w = leaders.(Prng.Rng.int r (Array.length leaders)) in
+  let gap = Point.distance_cw w (Ring.strict_successor_exn ring w) in
+  let draw () =
+    match Prng.Rng.int r 3 with
+    | 0 when gap > 1L ->
+        let u = Int64.shift_right_logical (Prng.Rng.bits64 r) 2 in
+        Point.add_cw w (Int64.add 1L (Int64.rem u (Int64.pred gap)))
+    | 1 ->
+        let d = Int64.of_int (Prng.Rng.int r (1 lsl 20)) in
+        Point.of_u62 (if Prng.Rng.bool r then d else Int64.sub top_key d)
+    | _ -> Point.random r
+  in
+  let rec fill acc seen j =
+    if j = k then List.rev acc
+    else
+      let p = draw () in
+      if Ring.mem p ring || List.exists (Point.equal p) seen then fill acc seen j
+      else fill ((p, Prng.Rng.int r 4 = 0) :: acc) (p :: seen) (j + 1)
+  in
+  fill [] [] 0
+
+(* The batched admission must replay the per-ID protocol (PRNG split
+   order included) exactly as the one-at-a-time fold, for every
+   construction: same graph, same bad ring, same aggregate cost, and
+   one overlay rebuild for the batch against one per join for the
+   fold. *)
+let prop_join_many_equals_sequential =
+  QCheck.Test.make ~name:"batch = one-at-a-time" ~count:40
+    QCheck.(pair small_nat (int_range 1 24))
+    (fun (seed, k) ->
+      List.for_all
+        (fun (g, old_pair) ->
+          let ids = batch_of g ~seed ~k in
+          let rng_b = Prng.Rng.create seed and rng_s = Prng.Rng.create seed in
+          let m_b = Sim.Metrics.create () and m_s = Sim.Metrics.create () in
+          let batched, bcost =
+            Tinygroups.Dynamic.join_many rng_b m_b g ~old_pair ~member_oracle:h2 ~ids
+          in
+          let sequential, s_searches, s_msgs, s_affected, s_upd =
+            List.fold_left
+              (fun (h, srch, msgs, aff, upd) (id, bad) ->
+                let h', c =
+                  Tinygroups.Dynamic.join rng_s m_s h ~old_pair ~member_oracle:h2 ~id ~bad
+                in
+                ( h',
+                  srch + c.Tinygroups.Dynamic.searches,
+                  msgs + c.Tinygroups.Dynamic.messages,
+                  aff + c.Tinygroups.Dynamic.affected_groups,
+                  upd + c.Tinygroups.Dynamic.member_updates ))
+              (g, 0, 0, 0, 0) ids
+          in
+          graphs_equal batched sequential
+          && Adversary.Population.bad_ids (Tinygroups.Group_graph.population batched)
+             = Adversary.Population.bad_ids (Tinygroups.Group_graph.population sequential)
+          && bcost.Tinygroups.Dynamic.searches = s_searches
+          && bcost.Tinygroups.Dynamic.messages = s_msgs
+          && bcost.Tinygroups.Dynamic.affected_groups = s_affected
+          && bcost.Tinygroups.Dynamic.member_updates = s_upd
+          && Sim.Metrics.get m_b Sim.Metrics.overlay_rebuilds = 1
+          && Sim.Metrics.get m_s Sim.Metrics.overlay_rebuilds = k)
+        (Lazy.force worlds))
+
+let test_join_many_rejects_present () =
   let g, old_pair = setup ~n:128 ~beta:0.05 () in
-  let ids =
-    [
-      (Point.of_float 0.111111, false);
-      (Point.of_float 0.222222, true);
-      (Point.of_float 0.333333, false);
-      (Point.of_float 0.444444, false);
-    ]
-  in
-  let rng_b = Prng.Rng.create 99 and rng_s = Prng.Rng.create 99 in
-  let m_b = Sim.Metrics.create () and m_s = Sim.Metrics.create () in
-  let batched, bcost =
-    Tinygroups.Dynamic.join_many rng_b m_b g ~old_pair ~member_oracle:h2 ~ids
-  in
-  let sequential, s_searches, s_msgs, s_affected, s_upd =
-    List.fold_left
-      (fun (h, srch, msgs, aff, upd) (id, bad) ->
-        let h', c = Tinygroups.Dynamic.join rng_s m_s h ~old_pair ~member_oracle:h2 ~id ~bad in
-        ( h',
-          srch + c.Tinygroups.Dynamic.searches,
-          msgs + c.Tinygroups.Dynamic.messages,
-          aff + c.Tinygroups.Dynamic.affected_groups,
-          upd + c.Tinygroups.Dynamic.member_updates ))
-      (g, 0, 0, 0, 0) ids
-  in
-  Alcotest.(check bool) "same graph as the one-at-a-time fold" true
-    (graphs_equal batched sequential);
-  Alcotest.(check bool) "same bad ring" true
-    (Adversary.Population.bad_ids (Tinygroups.Group_graph.population batched)
-    = Adversary.Population.bad_ids (Tinygroups.Group_graph.population sequential));
-  Alcotest.(check int) "same search count" s_searches bcost.Tinygroups.Dynamic.searches;
-  Alcotest.(check int) "same message count" s_msgs bcost.Tinygroups.Dynamic.messages;
-  Alcotest.(check int) "same affected-group count" s_affected
-    bcost.Tinygroups.Dynamic.affected_groups;
-  Alcotest.(check int) "same membership-update count" s_upd
-    bcost.Tinygroups.Dynamic.member_updates;
-  (* The O(1)-rebuild contract: the batch charges exactly one overlay
-     reconstruction however many newcomers it admits, while the fold
-     pays one per join — the whole point of the batched form. *)
-  Alcotest.(check int) "one overlay rebuild per batch" 1
-    (Sim.Metrics.get m_b Sim.Metrics.overlay_rebuilds);
-  Alcotest.(check int) "fold pays one rebuild per join" (List.length ids)
-    (Sim.Metrics.get m_s Sim.Metrics.overlay_rebuilds);
   let present = (Tinygroups.Group_graph.leaders g).(0) in
   Alcotest.check_raises "present ID rejected"
     (Invalid_argument "Dynamic.join: ID already present") (fun () ->
@@ -185,6 +244,41 @@ let test_join_many_equals_sequential () =
         (Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair
            ~member_oracle:h2
            ~ids:[ (Point.of_float 0.55, false); (Point.of_float 0.55, true) ]))
+
+(* Churn rebuilds the overlay with the construction's own parameters:
+   a salted Chord++ graph keeps routing on its salt's paths after
+   batched and single departures and joins. *)
+let test_salted_chord_pp_survives_churn () =
+  let salt = 3 in
+  let g, old_pair = setup_with (Overlay.Chord_pp.make ~salt) ~n:256 in
+  let leaders = Tinygroups.Group_graph.leaders g in
+  let g, _ =
+    Tinygroups.Dynamic.depart_many g ~ids:[ leaders.(5); leaders.(60); leaders.(200) ]
+  in
+  let g, _ =
+    Tinygroups.Dynamic.join_many (Prng.Rng.create 11) (Sim.Metrics.create ()) g ~old_pair
+      ~member_oracle:h2 ~ids:(batch_of g ~seed:11 ~k:6)
+  in
+  let g, _ = Tinygroups.Dynamic.depart g ~id:leaders.(100) in
+  let g, _ =
+    Tinygroups.Dynamic.join (Prng.Rng.create 12) (Sim.Metrics.create ()) g ~old_pair
+      ~member_oracle:h2 ~id:(Point.of_float 0.7071) ~bad:false
+  in
+  let ring = Adversary.Population.ring (Tinygroups.Group_graph.population g) in
+  let ov = Tinygroups.Group_graph.overlay g in
+  let want = Overlay.Chord_pp.make ~salt ring and unsalted = Overlay.Chord_pp.make ring in
+  let members = Ring.to_sorted_array ring in
+  let r = Prng.Rng.create 13 in
+  let differs = ref 0 in
+  for _ = 1 to 300 do
+    let src = members.(Prng.Rng.int r (Array.length members)) in
+    let key = Point.random r in
+    let got = ov.Overlay.Overlay_intf.route ~src ~key in
+    Alcotest.(check bool) "routes like Chord_pp.make ~salt over the new ring" true
+      (got = want.Overlay.Overlay_intf.route ~src ~key);
+    if got <> unsalted.Overlay.Overlay_intf.route ~src ~key then incr differs
+  done;
+  Alcotest.(check bool) "salt 0 would route differently" true (!differs > 0)
 
 let test_depart_unknown_rejected () =
   let g, _ = setup () in
@@ -277,8 +371,11 @@ let () =
           Alcotest.test_case "captured groups link back" `Quick
             test_join_captured_groups_link_back;
           Alcotest.test_case "newcomer searchable" `Quick test_join_then_search_works;
-          Alcotest.test_case "batch = one-at-a-time" `Quick
-            test_join_many_equals_sequential;
+          QCheck_alcotest.to_alcotest prop_join_many_equals_sequential;
+          Alcotest.test_case "batch rejects present IDs" `Quick
+            test_join_many_rejects_present;
+          Alcotest.test_case "salted chord++ keeps its salt" `Quick
+            test_salted_chord_pp_survives_churn;
         ] );
       ( "depart",
         [

@@ -155,7 +155,8 @@ let test_estimate_scaling () =
       let ring = Ring.populate (Prng.Rng.split rng) n in
       let ids = Ring.to_sorted_array ring in
       let estimates =
-        Array.map (fun id -> Estimate.ln_ln_n ring id) (Array.sub ids 0 50)
+        let view = Ring.View.of_ring ring in
+        Array.map (fun id -> Estimate.ln_ln_n view id) (Array.sub ids 0 50)
       in
       let mean = Array.fold_left ( +. ) 0. estimates /. 50. in
       let truth = Estimate.exact_ln_ln n in
@@ -168,7 +169,7 @@ let test_estimate_scaling () =
 let test_group_size_estimate () =
   let ring = Ring.populate (Prng.Rng.split rng) 4096 in
   let id = Ring.to_sorted_array ring |> fun a -> a.(0) in
-  let g = Estimate.group_size ~d:5.0 ring id in
+  let g = Estimate.group_size ~d:5.0 (Ring.View.of_ring ring) id in
   (* 5 * lnln 4096 = 5 * 2.12 = 10.6; allow generous slack for the
      local-gap noise. *)
   Alcotest.(check bool) (Printf.sprintf "size %d plausible" g) true (g >= 5 && g <= 25)

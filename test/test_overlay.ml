@@ -189,6 +189,89 @@ let prop_debruijn_all_hops_are_links =
       let key = Point.of_float keyf in
       Overlay.Overlay_intf.path_ok ov (ov.Overlay.Overlay_intf.route ~src ~key) key)
 
+(* -- finger kernel ---------------------------------------------------- *)
+
+(* The one-search-per-stride Chord linking rule the kernel replaced,
+   verbatim: 62 independent successor searches, then the predecessor. *)
+module Ref_chord = struct
+  let fingers ring w =
+    let acc = ref [] in
+    for j = 61 downto 0 do
+      let target = Point.add_cw w (Int64.shift_left 1L j) in
+      let f = Ring.successor_exn ring target in
+      if not (Point.equal f w) then
+        match !acc with
+        | prev :: _ when Point.equal prev f -> ()
+        | _ -> acc := f :: !acc
+    done;
+    List.sort_uniq Point.compare !acc
+
+  let neighbors_of ring w =
+    let base = fingers ring w in
+    let with_pred =
+      match Ring.predecessor ring w with
+      | Some p when not (Point.equal p w) -> p :: base
+      | _ -> base
+    in
+    List.sort_uniq Point.compare with_pred
+end
+
+let top_point = Point.of_u62 (Int64.sub Point.modulus 1L)
+
+(* Rings of 1-3 IDs, random rings, and rings with a run of IDs a few
+   keys apart (gaps below 2^j for small j), some hugging the wrap
+   point. *)
+let finger_ring_gen =
+  QCheck.Gen.(
+    let point = map (fun i -> Point.of_u62 (Int64.of_int (i land max_int))) int in
+    let* size = oneof [ int_range 1 3; int_range 4 64 ] in
+    let* spread = list_repeat size point in
+    let* anchor = oneof [ point; return Point.zero; return top_point ] in
+    let* offsets = list_size (int_bound 10) (int_range 1 64) in
+    let run = List.map (fun d -> Point.add_cw anchor (Int64.of_int d)) offsets in
+    let* with_run = bool in
+    return (if with_run then anchor :: (run @ spread) else spread))
+
+let finger_ring_arb =
+  QCheck.make finger_ring_gen ~print:(fun ps ->
+      String.concat ";" (List.map (fun p -> Int64.to_string (Point.to_u62 p)) ps))
+
+let prop_finger_kernel =
+  QCheck.Test.make ~name:"chord finger kernel = 62-search reference" ~count:400
+    finger_ring_arb (fun ps ->
+      let ring = Ring.of_list ps in
+      let probes =
+        List.concat_map
+          (fun p -> [ p; Point.add_cw p 1L; Point.add_cw p (Int64.sub Point.modulus 1L) ])
+          (Point.zero :: top_point :: Point.of_float 0.5 :: ps)
+      in
+      List.for_all
+        (fun w ->
+          Overlay.Chord.fingers ring w = Ref_chord.fingers ring w
+          && Overlay.Chord.neighbors_of ring w = Ref_chord.neighbors_of ring w)
+        probes)
+
+(* Every construction's memo-free rule over a staged view answers like
+   a fresh view of the merged ring: the contract batched joins rely
+   on. *)
+let prop_staged_rule =
+  QCheck.Test.make ~name:"neighbors_in over a staged ring = rebuilt view" ~count:100
+    QCheck.(pair finger_ring_arb finger_ring_arb)
+    (fun (base, staged) ->
+      let view =
+        List.fold_left (fun v p -> Ring.View.add p v) (Ring.View.of_ring (Ring.of_list base))
+          staged
+      in
+      let merged = Ring.View.to_ring view in
+      List.for_all
+        (fun make ->
+          let ov = make merged in
+          List.for_all
+            (fun w ->
+              ov.Overlay.Overlay_intf.neighbors_in view w = ov.Overlay.Overlay_intf.neighbors w)
+            (Point.of_float 0.25 :: (base @ staged)))
+        [ Overlay.Chord.make; Overlay.Debruijn.make; Overlay.Succ_ring.make ])
+
 (* -- chord++ draw parity ------------------------------------------- *)
 
 (* Frozen reference of the native-int SplitMix finalizer the salted
@@ -326,5 +409,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_all_hops_are_links; prop_debruijn_all_hops_are_links ] );
+          [
+            prop_all_hops_are_links;
+            prop_debruijn_all_hops_are_links;
+            prop_finger_kernel;
+            prop_staged_rule;
+          ] );
     ]

@@ -183,6 +183,62 @@ let prop_batch_equals_sequential =
       Ring.to_sorted_array added = Ring.to_sorted_array added_seq
       && Ring.to_sorted_array removed = Ring.to_sorted_array removed_seq)
 
+(* Staged inserts: fresh random points, a cluster packed into one gap
+   of the base (consecutive keys after a base point, so the buffer and
+   the base interleave tightly), both ends of the ID space, and
+   repeats of base or earlier points (which must leave the view
+   unchanged). *)
+let staged_gen =
+  QCheck.Gen.(
+    let* base =
+      oneof [ map (fun p -> [ p ]) (map point_of_int int); points_gen; return [] ]
+    in
+    let* fresh = list_size (int_bound 12) (map point_of_int int) in
+    let* anchor = map point_of_int int in
+    let anchor = match base with p :: _ -> p | [] -> anchor in
+    let* offsets = list_size (int_bound 8) (int_range 1 40) in
+    let cluster = List.map (fun d -> Point.add_cw anchor (Int64.of_int d)) offsets in
+    let* edges = list_size (int_bound 3) (oneofl [ Point.zero; Point.of_u62 top ]) in
+    let* repeats = list_size (int_bound 3) (oneofl (anchor :: base)) in
+    let* inserts = shuffle_l (fresh @ cluster @ edges @ repeats) in
+    return (base, inserts))
+
+let staged_arb =
+  let show ps = String.concat ";" (List.map Point.to_string ps) in
+  QCheck.make staged_gen ~print:(fun (base, inserts) ->
+      Printf.sprintf "base [%s] inserts [%s]" (show base) (show inserts))
+
+let prop_view_staged =
+  QCheck.Test.make ~name:"staged view answers like the Set ring fold of add" ~count:300
+    staged_arb (fun (base, inserts) ->
+      let agrees view reference =
+        Ring.View.cardinal view = Ref_ring.cardinal reference
+        && List.for_all
+             (fun x ->
+               Ring.View.mem x view = Ref_ring.Pset.mem x reference
+               && opt_point_eq
+                    (try Some (Ring.View.successor_exn view x) with Not_found -> None)
+                    (Ref_ring.successor reference x)
+               && opt_point_eq
+                    (Ring.View.strict_successor view x)
+                    (Ref_ring.strict_successor reference x)
+               && opt_point_eq
+                    (Ring.View.predecessor view x)
+                    (Ref_ring.predecessor reference x))
+             (probes_of (base @ inserts) [])
+      in
+      let view = ref (Ring.View.of_ring (Ring.of_list base)) in
+      let reference = ref (Ref_ring.of_list base) in
+      agrees !view !reference
+      && List.for_all
+           (fun p ->
+             view := Ring.View.add p !view;
+             reference := Ref_ring.add p !reference;
+             agrees !view !reference)
+           inserts
+      && Ring.to_sorted_array (Ring.View.to_ring !view)
+         = Ref_ring.to_sorted_array !reference)
+
 let test_singleton () =
   let p = Point.of_float 0.25 in
   let ring = Ring.of_list [ p ] in
@@ -242,6 +298,7 @@ let () =
           q prop_random_member_parity;
           q prop_churn_equiv;
           q prop_batch_equals_sequential;
+          q prop_view_staged;
         ] );
       ( "unit",
         [
