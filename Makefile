@@ -1,4 +1,4 @@
-.PHONY: all check check-seeds test bench bench-quick bench-hotpath bench-hotpath-capture bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
+.PHONY: all check check-seeds check-reachable test bench bench-quick bench-hotpath bench-hotpath-capture bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
 
 all:
 	dune build
@@ -25,6 +25,22 @@ check-seeds:
 	  dune exec bench/epoch.exe -- --determinism-only --scale quick --seed $$seed || exit 1; \
 	done
 	@echo "seed sweep OK"
+
+# Fail when a library module is reachable only from tests: each
+# lib/**/*.ml must be named, as a capitalised whole word, somewhere in
+# lib/, bench/, bin/, examples/ or perfbench/ outside its own .ml/.mli.
+check-reachable:
+	@fail=0; \
+	for f in $$(git ls-files 'lib/*.ml'); do \
+	  base=$${f%.ml}; \
+	  mod=$$(basename "$$base" | awk '{ print toupper(substr($$0, 1, 1)) substr($$0, 2) }'); \
+	  if ! git grep -qw "$$mod" -- lib bench bin examples perfbench ":!$$base.ml" ":!$$base.mli"; then \
+	    echo "check-reachable: $$mod ($$f) has no caller outside test/"; \
+	    fail=1; \
+	  fi; \
+	done; \
+	if [ $$fail -ne 0 ]; then exit 1; fi; \
+	echo "check-reachable OK"
 
 test: check
 

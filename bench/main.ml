@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every table/figure-equivalent of
-   the paper (E0-E22, F1; see DESIGN.md §4 and EXPERIMENTS.md) and
-   runs the Bechamel timing benches (B0-B7). The experiment list
+   the paper (E0-E26, F1; see DESIGN.md §4 and EXPERIMENTS.md) and
+   runs the Bechamel timing benches (B0-B6, B8, B9). The experiment list
    itself lives in Experiments.Registry — this file only drives it.
 
    Usage:

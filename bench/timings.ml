@@ -1,4 +1,4 @@
-(* B1-B6: Bechamel micro-benchmarks of the core operations, one per
+(* B0-B6, B8, B9: Bechamel micro-benchmarks of the core operations, one per
    cost the paper reasons about. Results are OLS estimates of
    nanoseconds per run. *)
 
@@ -75,18 +75,6 @@ let phase_king_test =
            (Agreement.Phase_king.run r ~inputs ~byzantine
               ~behaviour:Agreement.Phase_king.Equivocate)))
 
-let benor_test =
-  (* B7: one Ben-Or agreement instance, for comparison with B5. *)
-  let r = Prng.Rng.split rng in
-  let g = 11 in
-  let byzantine = Array.init g (fun i -> i < 2) in
-  Test.make ~name:"B7 ben-or g=11 t=2"
-    (Staged.stage (fun () ->
-         let inputs = Array.init g (fun _ -> Prng.Rng.bool r) in
-         ignore
-           (Agreement.Benor.run r ~inputs ~byzantine
-              ~behaviour:Agreement.Phase_king.Equivocate ~max_rounds:500)))
-
 let cuckoo_step_test =
   (* B6: one cuckoo-rule rejoin (the baseline's unit of churn). *)
   let r = Prng.Rng.split rng in
@@ -138,7 +126,6 @@ let run () =
         membership_verify_test;
         pow_attempt_test;
         phase_king_test;
-        benor_test;
         cuckoo_step_test;
         kvstore_get_test;
         commit_reveal_test;

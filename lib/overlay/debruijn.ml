@@ -13,19 +13,24 @@ let half_point ~bit p =
    arc with [from = until] is the image of an arc at most one key wide
    (halving drops the low bit) and holds no key, so only suc(until)
    covers it; reading it as the full ring would walk the ring
-   forever. *)
+   forever. An arc can also hold every member (a wide image on a
+   ring of two or three IDs), so the walk stops when it comes back to
+   its first member. *)
 let nodes_covering view ~from ~until =
   let acc = ref [ Ring.View.successor_exn view until ] in
   if not (Point.equal from until) then begin
-    let rec walk m =
-      if Point.in_cw_range ~from ~until m then begin
-        acc := m :: !acc;
-        match Ring.View.strict_successor view m with
-        | Some next when not (Point.equal next m) -> walk next
-        | _ -> ()
-      end
-    in
-    match Ring.View.strict_successor view from with Some m -> walk m | None -> ()
+    match Ring.View.strict_successor view from with
+    | Some first ->
+        let rec walk m =
+          if Point.in_cw_range ~from ~until m then begin
+            acc := m :: !acc;
+            match Ring.View.strict_successor view m with
+            | Some next when not (Point.equal next first) -> walk next
+            | _ -> ()
+          end
+        in
+        walk first
+    | None -> ()
   end;
   List.sort_uniq Point.compare !acc
 

@@ -269,10 +269,6 @@ let group_of t p =
   if r < 0 then raise Not_found;
   Array.unsafe_get t.group_by_rank r
 
-let is_confused t p =
-  let r = rank_of t p in
-  r >= 0 && bit_get t.confused_bits r
-
 let is_suspect t p =
   let r = rank_of t p in
   r >= 0 && bit_get t.suspect_bits r

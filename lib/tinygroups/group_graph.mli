@@ -115,8 +115,6 @@ val color_of : t -> Point.t -> color
 (** Red iff the group is not {!Group.Good} or its leader is
     confused — the conservative classification of §II. *)
 
-val is_confused : t -> Point.t -> bool
-
 val is_suspect : t -> Point.t -> bool
 (** Suspect routes degrade the group without making it red; see
     {!assemble}. *)

@@ -91,11 +91,6 @@ let test_random_good () =
     Alcotest.(check bool) "never bad" false (Adversary.Population.is_bad pop p)
   done
 
-let test_strategy_defaults () =
-  Alcotest.(check bool) "default delays strings" true
-    Adversary.Strategy.(default.delay_strings);
-  Alcotest.(check bool) "passive does not" false Adversary.Strategy.(passive.delay_strings)
-
 let prop_generate_respects_beta =
   QCheck.Test.make ~name:"generated populations respect the beta budget" ~count:50
     QCheck.(pair small_int (int_range 10 300))
@@ -133,7 +128,6 @@ let () =
           Alcotest.test_case "rejects overlap" `Quick test_population_rejects_overlap;
           Alcotest.test_case "churn operations" `Quick test_population_churn_ops;
           Alcotest.test_case "random good" `Quick test_random_good;
-          Alcotest.test_case "strategy defaults" `Quick test_strategy_defaults;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

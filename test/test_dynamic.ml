@@ -156,7 +156,6 @@ let worlds =
          Overlay.Chord.make;
          Overlay.Chord_pp.make ~salt:5;
          Overlay.Debruijn.make;
-         Overlay.Succ_ring.make;
        ])
 
 let top_key = Int64.sub Point.modulus 1L

@@ -1,5 +1,4 @@
-(* The replicated key-value store and the group-ops reliable-processor
-   layer. *)
+(* The replicated key-value store. *)
 
 let rng = Prng.Rng.create 1212
 
@@ -255,53 +254,6 @@ let prop_store_matches_reference =
           | _ -> false)
         ops)
 
-(* Group-ops. *)
-
-let test_group_ops_compute_reliable () =
-  let g = build ~n:512 ~beta:0.05 () in
-  let leaders = Tinygroups.Group_graph.leaders g in
-  let checked = ref 0 in
-  Array.iter
-    (fun w ->
-      if Tinygroups.Group_ops.reliable g w then begin
-        incr checked;
-        List.iter
-          (fun job ->
-            match (Tinygroups.Group_ops.compute rng g ~leader:w ~job).value with
-            | Some v -> Alcotest.(check bool) "reliable group computes truly" job v
-            | None -> Alcotest.fail "no answer")
-          [ true; false ]
-      end)
-    (Array.sub leaders 0 50);
-  Alcotest.(check bool) "checked some reliable groups" true (!checked > 20)
-
-let test_group_ops_respond () =
-  let g = build ~n:512 ~beta:0.05 () in
-  let leaders = Tinygroups.Group_graph.leaders g in
-  let w =
-    match Array.find_opt (fun w -> Tinygroups.Group_ops.reliable g w) leaders with
-    | Some w -> w
-    | None -> Alcotest.fail "no reliable group"
-  in
-  let reply = Tinygroups.Group_ops.respond g ~leader:w ~payload:"truth" ~forge:"lie" in
-  Alcotest.(check (option string)) "majority filtering" (Some "truth")
-    reply.Tinygroups.Group_ops.value;
-  Alcotest.(check bool) "messages = |G| for one client" true
-    (reply.Tinygroups.Group_ops.messages > 0)
-
-let test_group_ops_reliable_consistency () =
-  let g = build ~n:512 ~beta:0.2 () in
-  Array.iter
-    (fun w ->
-      let grp = Tinygroups.Group_graph.group_of g w in
-      if Tinygroups.Group_ops.reliable g w then begin
-        Alcotest.(check bool) "reliable implies majority" true
-          (Tinygroups.Group.has_good_majority grp);
-        Alcotest.(check bool) "reliable implies BA bound" true
-          (4 * grp.Tinygroups.Group.bad_members < Tinygroups.Group.size grp)
-      end)
-    (Tinygroups.Group_graph.leaders g)
-
 let () =
   Alcotest.run "kvstore"
     [
@@ -326,11 +278,4 @@ let () =
           Alcotest.test_case "route cache disabled" `Quick test_route_cache_disabled;
         ] );
       ("model", [ QCheck_alcotest.to_alcotest prop_store_matches_reference ]);
-      ( "group-ops",
-        [
-          Alcotest.test_case "reliable groups compute" `Quick test_group_ops_compute_reliable;
-          Alcotest.test_case "respond filters" `Quick test_group_ops_respond;
-          Alcotest.test_case "reliable flag consistency" `Quick
-            test_group_ops_reliable_consistency;
-        ] );
     ]

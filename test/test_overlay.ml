@@ -1,6 +1,6 @@
 (* Input graphs H: path validity against the linking rules (P1/P3),
    load balance (P2), congestion (P4), and construction-specific
-   behaviour for Chord, distance-halving and the successor ring. *)
+   behaviour for Chord, Chord++ and distance-halving. *)
 
 open Idspace
 
@@ -19,7 +19,6 @@ let validate_paths ov n_checks =
 
 let test_chord_paths () = validate_paths (Overlay.Chord.make (mk_ring 1024)) 300
 let test_debruijn_paths () = validate_paths (Overlay.Debruijn.make (mk_ring 1024)) 300
-let test_succ_ring_paths () = validate_paths (Overlay.Succ_ring.make (mk_ring 128)) 100
 
 let test_route_ends_at_responsible () =
   let ring = mk_ring 512 in
@@ -34,7 +33,7 @@ let test_route_ends_at_responsible () =
         Alcotest.(check bool) "ends at suc(key)" true
           (Point.equal last (Ring.successor_exn ring key))
       done)
-    [ Overlay.Chord.make ring; Overlay.Debruijn.make ring; Overlay.Succ_ring.make ring ]
+    [ Overlay.Chord.make ring; Overlay.Debruijn.make ring ]
 
 let test_route_starts_at_src () =
   let ring = mk_ring 256 in
@@ -71,14 +70,6 @@ let test_debruijn_hop_bound () =
   Alcotest.(check bool)
     (Printf.sprintf "max %d small" st.max_hops)
     true (st.max_hops <= Overlay.Debruijn.halving_steps 4096 + 8)
-
-let test_succ_ring_linear_hops () =
-  let ov = Overlay.Succ_ring.make (mk_ring 128) in
-  let st = Overlay.Probe.path_lengths (Prng.Rng.split rng) ov ~searches:300 in
-  (* Mean walk is about n/2: emphatically not logarithmic. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "mean %.1f is linear-scale" st.mean_hops)
-    true (st.mean_hops > 20.)
 
 let test_chord_fingers_are_successors () =
   let ring = mk_ring 256 in
@@ -121,15 +112,18 @@ let test_debruijn_constant_degree () =
     (d16k.mean < d4k.mean +. 2.)
 
 let test_neighbors_exclude_self () =
-  let ring = mk_ring 128 in
+  (* On the two-ID ring, a halving image of one arc holds both IDs. *)
   List.iter
-    (fun ov ->
-      Ring.iter
-        (fun w ->
-          Alcotest.(check bool) "no self loop" false
-            (List.exists (Point.equal w) (ov.Overlay.Overlay_intf.neighbors w)))
-        ring)
-    [ Overlay.Chord.make ring; Overlay.Debruijn.make ring; Overlay.Succ_ring.make ring ]
+    (fun ring ->
+      List.iter
+        (fun ov ->
+          Ring.iter
+            (fun w ->
+              Alcotest.(check bool) "no self loop" false
+                (List.exists (Point.equal w) (ov.Overlay.Overlay_intf.neighbors w)))
+            ring)
+        [ Overlay.Chord.make ring; Overlay.Debruijn.make ring ])
+    [ mk_ring 128; Ring.of_list [ Point.of_float 0.2; Point.of_float 0.3 ] ]
 
 let test_load_balance_bounded () =
   let ov = Overlay.Chord.make (mk_ring 8192) in
@@ -270,7 +264,69 @@ let prop_staged_rule =
             (fun w ->
               ov.Overlay.Overlay_intf.neighbors_in view w = ov.Overlay.Overlay_intf.neighbors w)
             (Point.of_float 0.25 :: (base @ staged)))
-        [ Overlay.Chord.make; Overlay.Debruijn.make; Overlay.Succ_ring.make ])
+        [ Overlay.Chord.make; Overlay.Debruijn.make ])
+
+(* Chord++. *)
+
+let test_chordpp_paths_validate () =
+  let ring = mk_ring 512 in
+  let ov = Overlay.Chord_pp.make ring in
+  let members = Ring.to_sorted_array ring in
+  for _ = 1 to 200 do
+    let src = members.(Prng.Rng.int rng (Array.length members)) in
+    let key = Point.random rng in
+    let path = ov.Overlay.Overlay_intf.route ~src ~key in
+    Alcotest.(check bool) "path validates" true
+      (Overlay.Overlay_intf.path_ok ov path key)
+  done
+
+let test_chordpp_deterministic_per_salt () =
+  let ring = mk_ring 256 in
+  let ov1 = Overlay.Chord_pp.make ~salt:1 ring in
+  let ov1' = Overlay.Chord_pp.make ~salt:1 ring in
+  let members = Ring.to_sorted_array ring in
+  let src = members.(0) and key = Point.of_float 0.777 in
+  Alcotest.(check bool) "same salt, same path" true
+    (ov1.Overlay.Overlay_intf.route ~src ~key = ov1'.Overlay.Overlay_intf.route ~src ~key)
+
+let test_chordpp_salts_diverge () =
+  let ring = mk_ring 1024 in
+  let members = Ring.to_sorted_array ring in
+  let ovs = Array.init 2 (fun salt -> Overlay.Chord_pp.make ~salt ring) in
+  let diverged = ref 0 and total = ref 0 in
+  for _ = 1 to 100 do
+    let src = members.(Prng.Rng.int rng (Array.length members)) in
+    let key = Point.random rng in
+    let p0 = ovs.(0).Overlay.Overlay_intf.route ~src ~key in
+    let p1 = ovs.(1).Overlay.Overlay_intf.route ~src ~key in
+    if List.length p0 > 3 then begin
+      incr total;
+      if p0 <> p1 then incr diverged
+    end
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "salted paths diverge (%d/%d)" !diverged !total)
+    true
+    (!diverged * 2 > !total)
+
+let test_chordpp_same_linking_rule () =
+  let ring = mk_ring 256 in
+  let chord = Overlay.Chord.make ring in
+  let pp = Overlay.Chord_pp.make ring in
+  Ring.iter
+    (fun w ->
+      Alcotest.(check bool) "identical neighbour sets" true
+        (chord.Overlay.Overlay_intf.neighbors w = pp.Overlay.Overlay_intf.neighbors w))
+    ring
+
+let test_chordpp_hop_bound () =
+  let ring = mk_ring 4096 in
+  let ov = Overlay.Chord_pp.make ring in
+  let st = Overlay.Probe.path_lengths (Prng.Rng.split rng) ov ~searches:300 in
+  Alcotest.(check bool)
+    (Printf.sprintf "max %d within bound" st.Overlay.Probe.max_hops)
+    true
+    (st.Overlay.Probe.max_hops <= 40)
 
 (* -- chord++ draw parity ------------------------------------------- *)
 
@@ -379,7 +435,6 @@ let () =
         [
           Alcotest.test_case "chord paths validate" `Quick test_chord_paths;
           Alcotest.test_case "debruijn paths validate" `Quick test_debruijn_paths;
-          Alcotest.test_case "succ-ring paths validate" `Quick test_succ_ring_paths;
           Alcotest.test_case "routes end at responsible ID" `Quick test_route_ends_at_responsible;
           Alcotest.test_case "routes start at source" `Quick test_route_starts_at_src;
           Alcotest.test_case "self route" `Quick test_self_route;
@@ -388,7 +443,6 @@ let () =
         [
           Alcotest.test_case "chord O(log n) hops" `Quick test_chord_log_hops;
           Alcotest.test_case "debruijn hop bound" `Quick test_debruijn_hop_bound;
-          Alcotest.test_case "succ-ring is linear" `Quick test_succ_ring_linear_hops;
           Alcotest.test_case "chord degree ~ lg n" `Quick test_chord_degree_logarithmic;
           Alcotest.test_case "debruijn O(1) degree" `Slow test_debruijn_constant_degree;
           Alcotest.test_case "load balance (P2)" `Slow test_load_balance_bounded;
@@ -400,6 +454,14 @@ let () =
           Alcotest.test_case "no self loops" `Quick test_neighbors_exclude_self;
           Alcotest.test_case "forged paths rejected" `Quick test_is_neighbor_and_path_ok_reject;
           Alcotest.test_case "empty ring rejected" `Quick test_empty_ring_rejected;
+        ] );
+      ( "chord++",
+        [
+          Alcotest.test_case "paths validate" `Quick test_chordpp_paths_validate;
+          Alcotest.test_case "deterministic per salt" `Quick test_chordpp_deterministic_per_salt;
+          Alcotest.test_case "salts diverge" `Quick test_chordpp_salts_diverge;
+          Alcotest.test_case "same linking rule" `Quick test_chordpp_same_linking_rule;
+          Alcotest.test_case "hop bound" `Quick test_chordpp_hop_bound;
         ] );
       ( "chord++-coins",
         [

@@ -1,6 +1,6 @@
 (* Secure search over the group graph: success/failure semantics,
-   the search-path truncation rule, message accounting, and the two
-   failure notions. *)
+   the search-path truncation rule, message accounting, the two
+   failure notions, and the iterative (Appendix VI) variant. *)
 
 open Idspace
 
@@ -157,6 +157,47 @@ let prop_search_deterministic =
       o1.Tinygroups.Secure_route.result = o2.Tinygroups.Secure_route.result
       && o1.Tinygroups.Secure_route.messages = o2.Tinygroups.Secure_route.messages)
 
+(* Iterative search. *)
+
+let test_iterative_same_path_different_cost () =
+  let _, g =
+    Experiments.Common.build_tiny (Prng.Rng.split rng) ~n:512 ~beta:0.05 ()
+  in
+  let leaders = Tinygroups.Group_graph.leaders g in
+  for _ = 1 to 100 do
+    let src = leaders.(Prng.Rng.int rng (Array.length leaders)) in
+    let key = Point.random rng in
+    let r = Tinygroups.Secure_route.search g ~failure:`Majority ~src ~key in
+    let i = Tinygroups.Secure_route.search_iterative g ~failure:`Majority ~src ~key in
+    Alcotest.(check bool) "same result" true
+      (r.Tinygroups.Secure_route.result = i.Tinygroups.Secure_route.result);
+    Alcotest.(check bool) "same path" true
+      (r.Tinygroups.Secure_route.group_path = i.Tinygroups.Secure_route.group_path);
+    if List.length r.Tinygroups.Secure_route.group_path > 2 then
+      Alcotest.(check bool) "iterative costs more" true
+        (i.Tinygroups.Secure_route.messages > r.Tinygroups.Secure_route.messages)
+  done
+
+let test_iterative_cost_formula () =
+  let _, g =
+    Experiments.Common.build_tiny (Prng.Rng.split rng) ~n:256 ~beta:0.0 ()
+  in
+  let leaders = Tinygroups.Group_graph.leaders g in
+  let src = leaders.(0) in
+  let key = Point.random rng in
+  let i = Tinygroups.Secure_route.search_iterative g ~failure:`Majority ~src ~key in
+  let src_size = Tinygroups.Group.size (Tinygroups.Group_graph.group_of g src) in
+  let expected =
+    match i.Tinygroups.Secure_route.group_path with
+    | [] | [ _ ] -> 0
+    | _ :: hops ->
+        List.fold_left
+          (fun acc w ->
+            acc + (2 * src_size * Tinygroups.Group.size (Tinygroups.Group_graph.group_of g w)))
+          0 hops
+  in
+  Alcotest.(check int) "2 |G_src| sum |G_hop|" expected i.Tinygroups.Secure_route.messages
+
 let () =
   Alcotest.run "secure_route"
     [
@@ -176,6 +217,12 @@ let () =
           Alcotest.test_case "local search free" `Quick test_single_group_path_costs_nothing;
           Alcotest.test_case "group comm cost" `Quick test_group_comm_cost;
           Alcotest.test_case "expected route cost" `Quick test_expected_route_cost;
+        ] );
+      ( "iterative-search",
+        [
+          Alcotest.test_case "same path, higher cost" `Quick
+            test_iterative_same_path_different_cost;
+          Alcotest.test_case "cost formula" `Quick test_iterative_cost_formula;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_search_deterministic ]);
     ]
