@@ -67,4 +67,8 @@ val map_configs : Prng.Rng.t -> jobs:int -> 'a list -> ('a -> Prng.Rng.t -> 'b) 
 val warm_for_sharing : Tinygroups.Group_graph.t -> unit
 (** Force every lazily memoized structure reachable from searches on
     [g] (overlay neighbour tables, the blue-leader cache) so the
-    graph can be shared read-only across domains. *)
+    graph can be shared read-only across domains. Chord's [route]
+    reads the ring and no longer touches its neighbour memo, but
+    Chord++ routing walks that memo, as do link checks, and a random
+    blue start reads the blue-leader cache, so the warm-up is still
+    required. *)

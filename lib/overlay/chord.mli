@@ -6,8 +6,16 @@
     footnote 11. Degree and search length are [O(log N)]; congestion is
     [O(log N / N)] w.h.p. Routing is greedy closest-preceding-finger.
 
-    Finger tables are memoised lazily: experiments that only route
-    through a few thousand of the [N] IDs never pay for the rest. *)
+    [route] reads the ring directly: per hop, the predecessor and
+    successor sit at the hop's rank [-1]/[+1], and the closest
+    preceding finger is the first stride, scanning down from the key's
+    distance, whose successor falls short of the key — about one
+    successor search per hop, no neighbour list. Its paths are those
+    of the greedy walk over [neighbors] (pinned by a test).
+
+    Neighbour lists are memoised lazily, for [neighbors] alone (link
+    checks, Chord++ routing, reverse-link filters): a view that is
+    only routed over never fills the memo. *)
 
 open Idspace
 

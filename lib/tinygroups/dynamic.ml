@@ -16,9 +16,9 @@ type cost = {
    for Chord-style rules, v with v + 2^j in (pred(id), id] for some
    j, plus id's ring neighbours. The generic filter against the
    overlay's own neighbour function keeps this sound for any
-   construction (it may under-enumerate for exotic rules; Chord,
-   Chord++ and the successor ring are covered exactly). Reads a staged
-   ring, so a batch's newcomers see the earlier ones. *)
+   construction (it may under-enumerate for exotic rules; Chord and
+   Chord++ are covered exactly). Reads a staged ring, so a batch's
+   newcomers see the earlier ones. *)
 let capture_candidates view ~id =
   let pred = match Ring.View.predecessor view id with Some p -> p | None -> id in
   let acc = ref [] in
@@ -144,9 +144,9 @@ let pow_charge pow metrics ~bad =
     pow
 
 let join ?pow rng metrics g ~old_pair ~member_oracle ~id ~bad =
-  pow_charge pow metrics ~bad;
   let pop = Group_graph.population g in
   if Ring.mem id (Population.ring pop) then invalid_arg "Dynamic.join: ID already present";
+  pow_charge pow metrics ~bad;
   let params = Group_graph.params g in
   let new_pop = if bad then Population.add_bad pop id else Population.add_good pop id in
   let new_ring = Population.ring new_pop in
@@ -186,7 +186,6 @@ let join ?pow rng metrics g ~old_pair ~member_oracle ~id ~bad =
   (g', cost)
 
 let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
-  List.iter (fun (_, bad) -> pow_charge pow metrics ~bad) ids;
   let pop0 = Group_graph.population g in
   let ring0 = Population.ring pop0 in
   let seen = Hashtbl.create (max 16 (List.length ids)) in
@@ -196,6 +195,9 @@ let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
         invalid_arg "Dynamic.join: ID already present";
       Hashtbl.add seen (Point.to_key id) ())
     ids;
+  (* Charged only once the whole batch is valid: a rejected batch
+     leaves the ledgers and counters untouched. *)
+  List.iter (fun (_, bad) -> pow_charge pow metrics ~bad) ids;
   if ids = [] then (g, { searches = 0; messages = 0; affected_groups = 0; member_updates = 0 })
   else begin
     let params = Group_graph.params g in

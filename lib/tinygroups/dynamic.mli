@@ -55,7 +55,7 @@ val join :
     controller's ledger and the [pow.*] metrics counters. The charge
     is PRNG-free, so omitting [?pow] reproduces the pre-controller
     behaviour byte-for-byte. Raises [Invalid_argument] if [id] is
-    already present. *)
+    already present, before any fee is charged. *)
 
 val join_many :
   ?pow:Pow.Controller.t ->
@@ -81,8 +81,9 @@ val join_many :
     the fold's (pinned by a test). The rebuild is the construction's
     own [rebuild], so parameters such as a Chord++ salt carry over, as
     they do in {!join}, {!depart} and {!depart_many}. [?pow] charges every
-    newcomer's entrance fee exactly as {!join} does, in batch order.
-    Raises [Invalid_argument] on a present or duplicated ID. *)
+    newcomer's entrance fee exactly as {!join} does, in batch order,
+    once the whole batch is valid. Raises [Invalid_argument] on a
+    present or duplicated ID; a rejected batch charges nothing. *)
 
 val depart : Group_graph.t -> id:Point.t -> Group_graph.t * cost
 (** Remove [id]. Raises [Invalid_argument] if absent. *)

@@ -244,6 +244,43 @@ let test_join_many_rejects_present () =
            ~member_oracle:h2
            ~ids:[ (Point.of_float 0.55, false); (Point.of_float 0.55, true) ]))
 
+(* A rejected batch pays no entrance fee: validation runs before the
+   controller is charged, so its ledgers and the [pow.*] counters stay
+   where they were. *)
+let test_rejected_join_charges_no_pow () =
+  (* A private stream: the shared [rng] feeds the worlds of later
+     cases. *)
+  let rng = Prng.Rng.create 4040 in
+  let _, g = Experiments.Common.build_tiny (Prng.Rng.split rng) ~n:128 ~beta:0.05 () in
+  let old_pair = Tinygroups.Membership.make_old_pair ~failure:`Majority g None in
+  let present = (Tinygroups.Group_graph.leaders g).(0) in
+  let pow = Pow.Controller.create (Pow.Controller.fixed ~epoch_steps:4096) ~n:128 in
+  let m = Sim.Metrics.create () in
+  (* One admitted newcomer first, so the ledgers start non-zero. *)
+  let g, _ =
+    Tinygroups.Dynamic.join_many ~pow (Prng.Rng.split rng) m g ~old_pair ~member_oracle:h2
+      ~ids:[ (Point.of_float 0.321, true) ]
+  in
+  let good = Pow.Controller.cumulative_good_spend pow in
+  let bad = Pow.Controller.cumulative_bad_spend pow in
+  let before = Sim.Metrics.to_list (Sim.Metrics.snapshot m) in
+  Alcotest.check_raises "present ID rejected"
+    (Invalid_argument "Dynamic.join: ID already present") (fun () ->
+      ignore
+        (Tinygroups.Dynamic.join_many ~pow (Prng.Rng.split rng) m g ~old_pair
+           ~member_oracle:h2
+           ~ids:[ (Point.of_float 0.55, false); (present, true) ]));
+  Alcotest.check_raises "single join rejected"
+    (Invalid_argument "Dynamic.join: ID already present") (fun () ->
+      ignore
+        (Tinygroups.Dynamic.join ~pow (Prng.Rng.split rng) m g ~old_pair ~member_oracle:h2
+           ~id:present ~bad:true));
+  Alcotest.(check bool) "admitted newcomer paid" true (bad > 0);
+  Alcotest.(check int) "good spend" good (Pow.Controller.cumulative_good_spend pow);
+  Alcotest.(check int) "bad spend" bad (Pow.Controller.cumulative_bad_spend pow);
+  Alcotest.(check (list (pair string int))) "metrics unchanged" before
+    (Sim.Metrics.to_list (Sim.Metrics.snapshot m))
+
 (* Churn rebuilds the overlay with the construction's own parameters:
    a salted Chord++ graph keeps routing on its salt's paths after
    batched and single departures and joins. *)
@@ -373,6 +410,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_join_many_equals_sequential;
           Alcotest.test_case "batch rejects present IDs" `Quick
             test_join_many_rejects_present;
+          Alcotest.test_case "rejected join charges no PoW" `Quick
+            test_rejected_join_charges_no_pow;
           Alcotest.test_case "salted chord++ keeps its salt" `Quick
             test_salted_chord_pp_survives_churn;
         ] );

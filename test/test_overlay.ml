@@ -245,6 +245,85 @@ let prop_finger_kernel =
           && Overlay.Chord.neighbors_of ring w = Ref_chord.neighbors_of ring w)
         probes)
 
+(* -- route kernel ----------------------------------------------------- *)
+
+(* The memo-list greedy walk the ring-reading route replaced, verbatim:
+   per hop, the farthest entry of [neighbors current] that does not
+   reach the key. *)
+module Ref_route = struct
+  let route ring neighbors ~src ~key =
+    let n = Ring.cardinal ring in
+    let hard_bound = n + 1 in
+    let resp = Ring.successor_exn ring key in
+    if Point.equal src resp then [ src ]
+    else begin
+      let kkey = Point.to_key key in
+      let rec go current acc hops =
+        if hops > hard_bound then failwith "Chord.route: hop bound exceeded"
+        else begin
+          let scur =
+            match Ring.strict_successor ring current with
+            | Some s -> s
+            | None -> assert false
+          in
+          let kcur = Point.to_key current in
+          let arc = (Point.to_key scur - kcur) land Point.key_mask in
+          let dkey = (kkey - kcur) land Point.key_mask in
+          if arc = 0 || (dkey > 0 && dkey <= arc) then List.rev (scur :: acc)
+          else begin
+            let best_u = ref current and best_d = ref (-1) in
+            List.iter
+              (fun u ->
+                let d = (Point.to_key u - kcur) land Point.key_mask in
+                if d > 0 && d < dkey && d > !best_d then begin
+                  best_u := u;
+                  best_d := d
+                end)
+              (neighbors current);
+            let next = if !best_d >= 0 then !best_u else scur in
+            go next (next :: acc) (hops + 1)
+          end
+        end
+      in
+      go src [ src ] 0
+    end
+end
+
+(* Sources on the ring and off it (one key either side of every ID,
+   both ends of the ID space); keys that are IDs, the key just past
+   each ID and random points. *)
+let prop_route_kernel =
+  QCheck.Test.make ~name:"chord route = greedy walk over neighbors_of" ~count:150
+    QCheck.(pair finger_ring_arb (small_list (map (fun i -> i land max_int) int)))
+    (fun (ps, raw_keys) ->
+      let ring = Ring.of_list ps in
+      let ov = Overlay.Chord.make ring in
+      let memo = Hashtbl.create 64 in
+      let neighbors w =
+        match Hashtbl.find_opt memo w with
+        | Some ns -> ns
+        | None ->
+            let ns = Overlay.Chord.neighbors_of ring w in
+            Hashtbl.add memo w ns;
+            ns
+      in
+      let off p = [ Point.add_cw p 1L; Point.add_cw p (Int64.sub Point.modulus 1L) ] in
+      let sources = Point.zero :: top_point :: (ps @ List.concat_map off ps) in
+      let keys =
+        Point.zero :: top_point
+        :: List.map (fun i -> Point.of_u62 (Int64.of_int i)) raw_keys
+        @ ps @ List.map (fun p -> Point.add_cw p 1L) ps
+      in
+      List.for_all
+        (fun src ->
+          List.for_all
+            (fun key ->
+              let path = ov.Overlay.Overlay_intf.route ~src ~key in
+              path = Ref_route.route ring neighbors ~src ~key
+              && ((not (Ring.mem src ring)) || Overlay.Overlay_intf.path_ok ov path key))
+            keys)
+        sources)
+
 (* Every construction's memo-free rule over a staged view answers like
    a fresh view of the merged ring: the contract batched joins rely
    on. *)
@@ -475,6 +554,7 @@ let () =
             prop_all_hops_are_links;
             prop_debruijn_all_hops_are_links;
             prop_finger_kernel;
+            prop_route_kernel;
             prop_staged_rule;
           ] );
     ]
