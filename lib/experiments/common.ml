@@ -34,18 +34,6 @@ let map_configs rng ~jobs configs f =
 let run_trials rng ~jobs ~trials f =
   map_configs rng ~jobs (List.init trials Fun.id) (fun _ stream -> f stream)
 
-let run_trials_metrics rng ~metrics ~jobs ~trials f =
-  let out =
-    run_trials rng ~jobs ~trials (fun stream ->
-        let m = Sim.Metrics.create () in
-        (f stream m, m))
-  in
-  List.map
-    (fun (v, m) ->
-      Sim.Metrics.merge metrics m;
-      v)
-    out
-
 let warm_for_sharing g =
   let ov = Tinygroups.Group_graph.overlay g in
   Idspace.Ring.iter

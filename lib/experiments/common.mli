@@ -35,26 +35,14 @@ val h1 : Hashing.Oracle.t
 
     Every quantitative claim is an average over independent seeded
     runs, so experiments fan their trials (and independent
-    configuration rows) out over a {!Parallel.Pool}. All three
-    entry points return results in input order and derive one
+    configuration rows) out over a {!Parallel.Pool}. Both entry
+    points return results in input order and derive one
     {!Parallel.Fanout} substream per item up front, which makes the
     output of any experiment identical for every [~jobs] value. *)
 
 val run_trials : Prng.Rng.t -> jobs:int -> trials:int -> (Prng.Rng.t -> 'a) -> 'a list
 (** [run_trials rng ~jobs ~trials f] runs [f] once per trial, each on
     its own substream, at most [jobs] at a time. *)
-
-val run_trials_metrics :
-  Prng.Rng.t ->
-  metrics:Sim.Metrics.t ->
-  jobs:int ->
-  trials:int ->
-  (Prng.Rng.t -> Sim.Metrics.t -> 'a) ->
-  'a list
-(** Like {!run_trials} for trial bodies that account costs: each
-    trial gets a private {!Sim.Metrics.t} (so domains never share a
-    counter table) and all of them are {!Sim.Metrics.merge}d into
-    [metrics] afterwards, in trial order. *)
 
 val map_configs : Prng.Rng.t -> jobs:int -> 'a list -> ('a -> Prng.Rng.t -> 'b) -> 'b list
 (** [map_configs rng ~jobs configs f] is the config-sweep shape of

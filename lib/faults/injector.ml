@@ -87,7 +87,6 @@ let create ?metrics (plan : Plan.t) =
     wildcard_drop = Plan.wildcard_drop plan;
   }
 
-let enabled t = t.enabled_
 let plan t = t.plan_
 let metrics t = t.metrics_
 

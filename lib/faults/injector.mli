@@ -25,9 +25,6 @@ val create : ?metrics:Metrics_core.t -> Plan.t -> t
     epoch's cost accumulator), otherwise into a private table
     readable via {!metrics}. *)
 
-val enabled : t -> bool
-(** [false] exactly for {!disabled} injectors. *)
-
 val plan : t -> Plan.t
 (** {!Plan.none} for a disabled injector. *)
 

@@ -42,9 +42,6 @@ type rates = {
   reorder_ms : int;  (** Deferral window of a reorder. *)
 }
 
-val zero_rates : rates
-(** All probabilities 0 (ranges are irrelevant then). *)
-
 type rule = {
   src : Point.t option;  (** [None] matches any sender. *)
   dst : Point.t option;  (** [None] matches any recipient. *)
@@ -89,9 +86,6 @@ val uniform :
     omitted rates are 0, [delay_ms] defaults to [(10, 100)],
     [reorder_ms] to 200. Raises [Invalid_argument] on a rate outside
     [0, 1] or an invalid range. *)
-
-val on_link : ?src:Point.t -> ?dst:Point.t -> rates -> t
-(** Rates restricted to links matching the given endpoints. *)
 
 val partition : side_a:Point.t list -> ?side_b:Point.t list -> from_time:int -> ?heal_time:int -> unit -> t
 (** A cut between the two sides (group-level partitions are cuts

@@ -21,8 +21,6 @@ let of_list ps =
   | [] -> empty
   | ps -> of_sorted_distinct (Array.of_list ps)
 
-let of_array ps = of_list (Array.to_list ps)
-
 let cardinal t = Array.length t.pts
 
 (* First index whose key is >= k; [Array.length keys] when none. *)
@@ -61,18 +59,6 @@ let add p t =
     Array.blit t.keys i keys (i + 1) (n - i);
     { pts; keys }
   end
-
-let remove p t =
-  let k = Point.to_key p in
-  let n = Array.length t.pts in
-  let i = lower_bound t.keys k in
-  if i >= n || t.keys.(i) <> k then t
-  else if n = 1 then empty
-  else
-    {
-      pts = Array.init (n - 1) (fun j -> t.pts.(if j < i then j else j + 1));
-      keys = Array.init (n - 1) (fun j -> t.keys.(if j < i then j else j + 1));
-    }
 
 let add_batch ps t =
   match List.sort_uniq Point.compare ps with

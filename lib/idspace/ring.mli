@@ -14,12 +14,10 @@ type t
 val empty : t
 
 val of_list : Point.t list -> t
-val of_array : Point.t array -> t
 
 val add : Point.t -> t -> t
-val remove : Point.t -> t -> t
-(** Single-point churn; O(n) snapshot copy. Adding a present point or
-    removing an absent one returns the ring unchanged. *)
+(** Single-point insert; O(n) snapshot copy. Adding a present point
+    returns the ring unchanged. *)
 
 val add_batch : Point.t list -> t -> t
 (** [add_batch ps t] merges all of [ps] in one O(n + |ps| log |ps|)
@@ -27,7 +25,8 @@ val add_batch : Point.t list -> t -> t
     [ps] or against [t]) are absorbed. *)
 
 val remove_batch : Point.t list -> t -> t
-(** One-pass counterpart of k× {!remove}. *)
+(** [remove_batch ps t] drops all of [ps] in one O(n + |ps| log |ps|)
+    pass. Absent points are ignored. *)
 
 val mem : Point.t -> t -> bool
 

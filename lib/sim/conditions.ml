@@ -5,7 +5,6 @@ type t = {
 
 let none = { faults = None; reliability = None }
 let make ?faults ?reliability () = { faults; reliability }
-let is_none t = t.faults = None && t.reliability = None
 
 let describe t =
   match (t.faults, t.reliability) with

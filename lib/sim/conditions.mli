@@ -29,9 +29,6 @@ val none : t
 val make :
   ?faults:Faults.Plan.t -> ?reliability:Reliability.Policy.t -> unit -> t
 
-val is_none : t -> bool
-(** True when both components are absent ({e not} merely zero-rate). *)
-
 val describe : t -> string
 (** Human-readable one-liner, e.g. for table notes. *)
 

@@ -27,6 +27,3 @@ val std : float array -> float
 val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [0,1], by linear interpolation on the
     sorted sample. The input array is not modified. *)
-
-val of_ints : int array -> float array
-(** Convenience conversion. *)

@@ -19,8 +19,6 @@ let add t x =
   t.counts.(idx) <- t.counts.(idx) + 1;
   t.total <- t.total + 1
 
-let add_many t xs = Array.iter (add t) xs
-
 let count t i = t.counts.(i)
 let total t = t.total
 let bins t = Array.length t.counts

@@ -12,7 +12,6 @@ val create : ?lo:float -> ?hi:float -> bins:int -> unit -> t
     [lo < hi]. *)
 
 val add : t -> float -> unit
-val add_many : t -> float array -> unit
 
 val count : t -> int -> int
 (** Observations in bin [i]. *)

@@ -1,7 +1,7 @@
 open Idspace
 open Adversary
 
-let log_src = Logs.Src.create "tinygroups.dynamic" ~doc:"Per-event joins and departures"
+let log_src = Logs.Src.create "tinygroups.dynamic" ~doc:"Batched joins and departures"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
@@ -16,9 +16,12 @@ type cost = {
    for Chord-style rules, v with v + 2^j in (pred(id), id] for some
    j, plus id's ring neighbours. The generic filter against the
    overlay's own neighbour function keeps this sound for any
-   construction (it may under-enumerate for exotic rules; Chord and
-   Chord++ are covered exactly). Reads a staged ring, so a batch's
-   newcomers see the earlier ones. *)
+   construction, but it may under-enumerate, Chord and Chord++
+   included: each arc's walk stops after 9 IDs, so a leader further
+   along a crowded arc is missed (over five Chord graphs at n = 256,
+   0 to 19 of 2,000 random joins each report one captured group fewer
+   than a scan over every leader finds; none do without the cap).
+   Reads a staged ring, so a batch's newcomers see the earlier ones. *)
 let capture_candidates view ~id =
   let pred = match Ring.View.predecessor view id with Some p -> p | None -> id in
   let acc = ref [] in
@@ -70,9 +73,9 @@ let existing_groups g =
 
    The newcomer's stream is keyed on its identity —
    [of_subkey (bits64 rng) id] with the base drawn at the ID's turn —
-   so a batch and the fold of single joins consume [rng] identically
-   (one base draw per ID, in batch order) and every per-ID draw
-   sequence matches exactly; the join_many ≡ fold law in the test
+   so a batch and the fold of one-element batches consume [rng]
+   identically (one base draw per ID, in batch order) and every per-ID
+   draw sequence matches exactly; the batch ≡ fold law in the test
    suite holds by construction. All overlay queries go through the
    construction's memo-free [neighbors_in], so this never rebuilds an
    overlay. *)
@@ -143,48 +146,6 @@ let pow_charge pow metrics ~bad =
       else Sim.Metrics.add metrics Sim.Metrics.pow_good_evals price)
     pow
 
-let join ?pow rng metrics g ~old_pair ~member_oracle ~id ~bad =
-  let pop = Group_graph.population g in
-  if Ring.mem id (Population.ring pop) then invalid_arg "Dynamic.join: ID already present";
-  pow_charge pow metrics ~bad;
-  let params = Group_graph.params g in
-  let new_pop = if bad then Population.add_bad pop id else Population.add_good pop id in
-  let new_ring = Population.ring new_pop in
-  let before = Sim.Metrics.snapshot metrics in
-  let searches = ref 0 in
-  let grp, ok, captured, newly_confused =
-    join_one rng metrics ~params ~old_pair ~member_oracle
-      ~overlay:(Group_graph.overlay g)
-      ~prev:(Ring.View.of_ring (Population.ring pop))
-      ~view:(Ring.View.of_ring new_ring) ~searches ~id
-  in
-  let confused =
-    (if ok then [] else [ id ]) @ newly_confused @ Group_graph.confused_leaders g
-  in
-  let groups = (id, grp) :: existing_groups g in
-  (* The single overlay reconstruction of this join. *)
-  Sim.Metrics.incr metrics Sim.Metrics.overlay_rebuilds;
-  let new_overlay = (Group_graph.overlay g).Overlay.Overlay_intf.rebuild new_ring in
-  let g' =
-    Group_graph.assemble ~params ~population:new_pop ~overlay:new_overlay ~groups
-      ~confused:(List.sort_uniq Point.compare confused) ()
-  in
-  let cost =
-    {
-      searches = !searches;
-      messages =
-        Sim.Metrics.found
-          (Sim.Metrics.diff (Sim.Metrics.snapshot metrics) before)
-          Sim.Metrics.msg_membership;
-      affected_groups = List.length captured;
-      member_updates = Group.size grp;
-    }
-  in
-  Log.debug (fun m ->
-      m "join %a: %d searches, %d msgs, %d captured groups, group size %d" Point.pp id
-        cost.searches cost.messages cost.affected_groups (Group.size grp));
-  (g', cost)
-
 let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
   let pop0 = Group_graph.population g in
   let ring0 = Population.ring pop0 in
@@ -192,7 +153,7 @@ let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
   List.iter
     (fun (id, _) ->
       if Ring.mem id ring0 || Hashtbl.mem seen (Point.to_key id) then
-        invalid_arg "Dynamic.join: ID already present";
+        invalid_arg "Dynamic.join_many: ID already present";
       Hashtbl.add seen (Point.to_key id) ())
     ids;
   (* Charged only once the whole batch is valid: a rejected batch
@@ -205,9 +166,9 @@ let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
     let before = Sim.Metrics.snapshot metrics in
     let searches = ref 0 and affected = ref 0 and member_updates = ref 0 in
     let new_groups = ref [] and new_confused = ref [] in
-    (* Replay the per-ID protocol exactly as the one-at-a-time fold
-       would — the j-th newcomer estimates, links and is verified
-       against the ring holding the first j-1 newcomers, with the
+    (* Replay the per-ID protocol exactly as the fold of one-element
+       batches would — the j-th newcomer estimates, links and is
+       verified against the ring holding the first j-1 newcomers, with the
        identity-keyed draw discipline of {!join_one} — but keep only
        the growing ring, as a staged {!Ring.View} over the pre-batch
        ring: the intermediate populations, group lists and graph
@@ -267,54 +228,6 @@ let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
     (g', cost)
   end
 
-let depart g ~id =
-  let pop = Group_graph.population g in
-  if not (Ring.mem id (Population.ring pop)) then invalid_arg "Dynamic.depart: unknown ID";
-  let params = Group_graph.params g in
-  (* Reverse neighbours null their link to the departing group. *)
-  let reverse =
-    List.filter
-      (fun v ->
-        (not (Point.equal v id))
-        && List.exists (Point.equal id) ((Group_graph.overlay g).Overlay.Overlay_intf.neighbors v))
-      (capture_candidates (Ring.View.of_ring (Population.ring pop)) ~id)
-  in
-  let new_pop = Population.remove pop id in
-  let new_ring = Population.ring new_pop in
-  let new_overlay = (Group_graph.overlay g).Overlay.Overlay_intf.rebuild new_ring in
-  let n_hint = Population.n new_pop in
-  (* Groups containing the departing ID lose a member. *)
-  let member_updates = ref 0 in
-  let groups =
-    List.filter_map
-      (fun (w, grp) ->
-        if Point.equal w id then None
-        else if Group.contains grp id then begin
-          incr member_updates;
-          match Group.drop_member params ~n_hint grp id with
-          | Some grp' -> Some (w, grp')
-          | None -> Some (w, grp) (* a group never empties below one member *)
-        end
-        else Some (w, grp))
-      (existing_groups g)
-  in
-  let confused =
-    List.filter (fun w -> not (Point.equal w id)) (Group_graph.confused_leaders g)
-  in
-  let g' =
-    Group_graph.assemble ~params ~population:new_pop ~overlay:new_overlay ~groups
-      ~confused ()
-  in
-  let cost =
-    {
-      searches = 0;
-      messages = 0;
-      affected_groups = List.length reverse;
-      member_updates = !member_updates;
-    }
-  in
-  (g', cost)
-
 let depart_many g ~ids =
   let pop = Group_graph.population g in
   let ring0 = Population.ring pop in
@@ -326,7 +239,7 @@ let depart_many g ~ids =
   List.iteri
     (fun j id ->
       if (not (Ring.mem id ring0)) || Hashtbl.mem seen (Point.to_key id) then
-        invalid_arg "Dynamic.depart: unknown ID";
+        invalid_arg "Dynamic.depart_many: unknown ID";
       Hashtbl.add seen (Point.to_key id) j)
     ids;
   if ids = [] then (g, { searches = 0; messages = 0; affected_groups = 0; member_updates = 0 })
@@ -347,15 +260,18 @@ let depart_many g ~ids =
         0 ids
     in
     (* One merged ring pass and one overlay rebuild for the whole
-       batch — the point of batching; the per-ID fold pays both k
-       times. *)
+       batch — the point of batching; the fold of one-element batches
+       pays both k times. *)
     let new_pop = Population.remove_batch pop ids in
     let new_overlay = overlay0.Overlay.Overlay_intf.rebuild (Population.ring new_pop) in
-    (* Replay the membership drops exactly as the one-at-a-time fold
-       would: the drop for the j-th departure classifies against
-       n_hint = n - j - 1, and departed leaders leave the (ascending)
-       group list in place, so the assembled graph is identical to
-       folding {!depart} — including its iteration order.
+    (* Replay the membership drops exactly as the fold of one-element
+       batches would: the drop for the j-th departure classifies
+       against n_hint = n - j - 1, and departed leaders leave the
+       (ascending) group list in place, so the assembled graph is
+       identical to the fold's — including its iteration order. A
+       departing leader's group is skipped whole, so its drops are not
+       counted in [member_updates], though the fold counts those that
+       precede the leader's own departure.
 
        One pass over the groups instead of one pass per departure:
        groups are independent under drops (each drop touches only the

@@ -3,8 +3,9 @@
     a group graph").
 
     The epoch driver ({!Epoch}) rebuilds whole graphs; this module
-    handles one event at a time on a live graph and accounts its
-    cost, which is the quantity footnote 13 bounds:
+    applies batches of events to a live graph (a single event is a
+    one-element batch) and accounts their cost, which is the quantity
+    footnote 13 bounds:
 
     {b Join} of ID [w]: solicit members for [G_w] through the old
     graphs ([O(lnln n)] dual searches), establish [L_w]
@@ -33,30 +34,6 @@ type cost = {
       (** Group memberships created or dissolved by the event. *)
 }
 
-val join :
-  ?pow:Pow.Controller.t ->
-  Prng.Rng.t ->
-  Sim.Metrics.t ->
-  Group_graph.t ->
-  old_pair:Membership.old_pair ->
-  member_oracle:Hashing.Oracle.t ->
-  id:Point.t ->
-  bad:bool ->
-  Group_graph.t * cost
-(** Admit [id]; requests travel through [old_pair] exactly as in the
-    epoch construction. The newcomer's searches draw from a stream
-    keyed on its identity ([Prng.Rng.of_subkey] of a base drawn from
-    [rng] at the ID's turn), and the one overlay reconstruction is
-    counted under {!Sim.Metrics.overlay_rebuilds}.
-
-    When a difficulty controller is passed via [?pow], the newcomer
-    first pays the controller's current entrance price
-    ({!Pow.Controller.note_admission}): the fee lands in the
-    controller's ledger and the [pow.*] metrics counters. The charge
-    is PRNG-free, so omitting [?pow] reproduces the pre-controller
-    behaviour byte-for-byte. Raises [Invalid_argument] if [id] is
-    already present, before any fee is charged. *)
-
 val join_many :
   ?pow:Pow.Controller.t ->
   Prng.Rng.t ->
@@ -66,37 +43,47 @@ val join_many :
   member_oracle:Hashing.Oracle.t ->
   ids:(Point.t * bool) list ->
   Group_graph.t * cost
-(** Admit a batch of [(id, bad)] newcomers with one merged population
-    pass, one overlay rebuild (counted under
-    {!Sim.Metrics.overlay_rebuilds} and asserted to be exactly one
-    per batch) and one graph assembly. The per-ID protocol
-    (solicitation draws, link establishment, captured-group
-    verification, and the identity-keyed draw discipline of {!join})
-    is replayed exactly as the one-at-a-time fold of {!join} would
-    run it — the j-th newcomer sees a ring holding the first j-1,
-    staged as a {!Idspace.Ring.View} (an O(k) insert, O(log n + log k)
-    queries, no O(n) ring copy per newcomer) and queried through the
-    construction's memo-free [neighbors_in] instead of per-ID overlay
-    reconstructions — so the resulting graph and aggregate cost equal
-    the fold's (pinned by a test). The rebuild is the construction's
-    own [rebuild], so parameters such as a Chord++ salt carry over, as
-    they do in {!join}, {!depart} and {!depart_many}. [?pow] charges every
-    newcomer's entrance fee exactly as {!join} does, in batch order,
-    once the whole batch is valid. Raises [Invalid_argument] on a
-    present or duplicated ID; a rejected batch charges nothing. *)
+(** Admit a batch of [(id, bad)] newcomers; a single join is the
+    one-element batch. Requests travel through [old_pair] exactly as
+    in the epoch construction. Each newcomer's searches draw from a
+    stream keyed on its identity ([Prng.Rng.of_subkey] of a base drawn
+    from [rng] at the ID's turn).
 
-val depart : Group_graph.t -> id:Point.t -> Group_graph.t * cost
-(** Remove [id]. Raises [Invalid_argument] if absent. *)
+    The batch is defined against the fold of one-element batches,
+    which rebuilds the graph between events: the j-th newcomer
+    solicits, links and is verified against a ring holding the first
+    j-1, so the resulting graph and aggregate cost equal the fold's
+    (pinned by a test). The batch gets there with one merged
+    population pass, one overlay rebuild (counted under
+    {!Sim.Metrics.overlay_rebuilds}, exactly one per non-empty batch)
+    and one graph assembly: the growing ring is staged as an
+    {!Idspace.Ring.View} (an O(k) insert, O(log n + log k) queries)
+    and queried through the construction's memo-free [neighbors_in].
+    The rebuild is the construction's own [rebuild], so parameters
+    such as a Chord++ salt carry over, as they do in {!depart_many}.
+
+    When a difficulty controller is passed via [?pow], every newcomer
+    first pays the controller's current entrance price
+    ({!Pow.Controller.note_admission}), in batch order: the fee lands
+    in the controller's ledger and the [pow.*] metrics counters. The
+    charge is PRNG-free, so omitting [?pow] reproduces the
+    pre-controller behaviour byte-for-byte. Raises [Invalid_argument]
+    on a present or duplicated ID; a rejected batch charges nothing. *)
 
 val depart_many : Group_graph.t -> ids:Point.t list -> Group_graph.t * cost
-(** Remove a batch of IDs with one merged ring pass and one overlay
-    rebuild. The resulting graph equals folding {!depart} over [ids]
-    in order; the cost aggregates, except [affected_groups], which is
-    counted against the starting overlay rather than the k
-    intermediate ones. Raises [Invalid_argument] on an absent or
-    duplicated ID. *)
+(** Remove a batch of IDs; a single departure is the one-element
+    batch. One merged ring pass and one overlay rebuild serve the
+    whole batch. The resulting graph equals the fold of one-element
+    batches over [ids] in order, which rebuilds the graph between
+    events. The cost does not aggregate exactly like the fold's:
+    - [affected_groups] is counted against the starting overlay
+      rather than the k intermediate ones;
+    - [member_updates] leaves out every drop from a group whose leader
+      also departs in the batch, while the fold counts the drops that
+      precede the leader's own departure (a known undercount).
+    Raises [Invalid_argument] on an absent or duplicated ID. *)
 
 val captured_by : Group_graph.t -> id:Point.t -> Point.t list
 (** The existing leaders whose Chord-style linking rule would link to
-    [id] once it joins (the reverse-neighbour set); exposed for tests
-    and the E18 accounting. *)
+    [id] once it joins (the reverse-neighbour set), as a join's
+    [affected_groups] counts them; exposed for tests. *)

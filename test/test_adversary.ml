@@ -71,14 +71,14 @@ let test_population_rejects_overlap () =
 
 let test_population_churn_ops () =
   let pop = Adversary.Population.make ~good:[ Point.of_float 0.1 ] ~bad:[ Point.of_float 0.9 ] in
-  let pop2 = Adversary.Population.add_bad pop (Point.of_float 0.5) in
+  let pop2 = Adversary.Population.add_batch pop ~good:[] ~bad:[ Point.of_float 0.5 ] in
   Alcotest.(check int) "added" 3 (Adversary.Population.n pop2);
   Alcotest.(check int) "two bad" 2 (Adversary.Population.bad_count pop2);
-  let pop3 = Adversary.Population.remove pop2 (Point.of_float 0.9) in
+  let pop3 = Adversary.Population.remove_batch pop2 [ Point.of_float 0.9 ] in
   Alcotest.(check int) "removed" 2 (Adversary.Population.n pop3);
   Alcotest.(check int) "one bad left" 1 (Adversary.Population.bad_count pop3);
   (* Removing an absent ID is a no-op. *)
-  let pop4 = Adversary.Population.remove pop3 (Point.of_float 0.77) in
+  let pop4 = Adversary.Population.remove_batch pop3 [ Point.of_float 0.77 ] in
   Alcotest.(check int) "no-op remove" 2 (Adversary.Population.n pop4)
 
 let test_random_good () =

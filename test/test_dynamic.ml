@@ -16,8 +16,8 @@ let test_join_adds_id () =
   let g, old_pair = setup () in
   let id = Point.of_float 0.123456789 in
   let g', cost =
-    Tinygroups.Dynamic.join (Prng.Rng.split rng) metrics g ~old_pair ~member_oracle:h2
-      ~id ~bad:false
+    Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair
+      ~member_oracle:h2 ~ids:[ (id, false) ]
   in
   Alcotest.(check int) "one more group" (Tinygroups.Group_graph.n_groups g + 1)
     (Tinygroups.Group_graph.n_groups g');
@@ -34,11 +34,11 @@ let test_join_adds_id () =
 let test_join_rejects_duplicate () =
   let g, old_pair = setup () in
   let existing = (Tinygroups.Group_graph.leaders g).(0) in
-  Alcotest.check_raises "duplicate join" (Invalid_argument "Dynamic.join: ID already present")
-    (fun () ->
+  Alcotest.check_raises "duplicate join"
+    (Invalid_argument "Dynamic.join_many: ID already present") (fun () ->
       ignore
-        (Tinygroups.Dynamic.join (Prng.Rng.split rng) metrics g ~old_pair
-           ~member_oracle:h2 ~id:existing ~bad:false))
+        (Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair
+           ~member_oracle:h2 ~ids:[ (existing, false) ]))
 
 let test_join_captured_groups_link_back () =
   let g, old_pair = setup () in
@@ -46,8 +46,8 @@ let test_join_captured_groups_link_back () =
   let captured = Tinygroups.Dynamic.captured_by g ~id in
   Alcotest.(check bool) "someone captures the newcomer" true (List.length captured > 0);
   let g', cost =
-    Tinygroups.Dynamic.join (Prng.Rng.split rng) metrics g ~old_pair ~member_oracle:h2
-      ~id ~bad:false
+    Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair
+      ~member_oracle:h2 ~ids:[ (id, false) ]
   in
   Alcotest.(check int) "cost reports them" (List.length captured)
     cost.Tinygroups.Dynamic.affected_groups;
@@ -63,13 +63,18 @@ let test_join_captured_groups_link_back () =
 let test_depart_removes_and_updates_members () =
   let g, _ = setup ~beta:0.0 () in
   let victim = (Tinygroups.Group_graph.leaders g).(7) in
-  (* Count the groups the victim serves in beforehand. *)
+  (* Count the groups the victim serves in beforehand, its own group
+     left out: a departure excises that group whole rather than
+     dropping a member from it. *)
   let serving =
     Tinygroups.Group_graph.fold_groups
-      (fun _ grp acc -> if Tinygroups.Group.contains grp victim then acc + 1 else acc)
+      (fun w grp acc ->
+        if (not (Point.equal w victim)) && Tinygroups.Group.contains grp victim then
+          acc + 1
+        else acc)
       g 0
   in
-  let g', cost = Tinygroups.Dynamic.depart g ~id:victim in
+  let g', cost = Tinygroups.Dynamic.depart_many g ~ids:[ victim ] in
   Alcotest.(check int) "one fewer group" (Tinygroups.Group_graph.n_groups g - 1)
     (Tinygroups.Group_graph.n_groups g');
   Alcotest.(check int) "membership updates counted" serving
@@ -101,9 +106,9 @@ let graphs_equal g1 g2 =
 
 let test_depart_many_equals_sequential () =
   (* Churn batching: the merged-ring batch departure must produce the
-     same graph as one-at-a-time application (the golden digests for
-     e10/e17/e20 cover the integrated per-event path; this pins the
-     batch form at the unit level). *)
+     same graph as the fold of one-element batches (the golden digests
+     for e18/e25 cover the integrated path; this pins the batch form
+     at the unit level). *)
   let g, _ = setup ~n:128 ~beta:0.05 () in
   let leaders = Tinygroups.Group_graph.leaders g in
   let ids = [ leaders.(3); leaders.(40); leaders.(77); leaders.(11); leaders.(126) ] in
@@ -111,7 +116,7 @@ let test_depart_many_equals_sequential () =
   let sequential, supd =
     List.fold_left
       (fun (h, upd) id ->
-        let h', c = Tinygroups.Dynamic.depart h ~id in
+        let h', c = Tinygroups.Dynamic.depart_many h ~ids:[ id ] in
         (h', upd + c.Tinygroups.Dynamic.member_updates))
       (g, 0) ids
   in
@@ -120,10 +125,10 @@ let test_depart_many_equals_sequential () =
   Alcotest.(check int) "same membership-update count"
     supd bcost.Tinygroups.Dynamic.member_updates;
   Alcotest.check_raises "absent ID rejected"
-    (Invalid_argument "Dynamic.depart: unknown ID") (fun () ->
+    (Invalid_argument "Dynamic.depart_many: unknown ID") (fun () ->
       ignore (Tinygroups.Dynamic.depart_many g ~ids:[ Point.of_float 0.5757575 ]));
   Alcotest.check_raises "duplicate ID rejected"
-    (Invalid_argument "Dynamic.depart: unknown ID") (fun () ->
+    (Invalid_argument "Dynamic.depart_many: unknown ID") (fun () ->
       ignore (Tinygroups.Dynamic.depart_many g ~ids:[ leaders.(3); leaders.(3) ]))
 
 (* One world per overlay construction: a graph built over it and the
@@ -189,9 +194,9 @@ let batch_of g ~seed ~k =
   fill [] [] 0
 
 (* The batched admission must replay the per-ID protocol (PRNG split
-   order included) exactly as the one-at-a-time fold, for every
-   construction: same graph, same bad ring, same aggregate cost, and
-   one overlay rebuild for the batch against one per join for the
+   order included) exactly as the fold of one-element batches, for
+   every construction: same graph, same bad ring, same aggregate cost,
+   and one overlay rebuild for the batch against one per join for the
    fold. *)
 let prop_join_many_equals_sequential =
   QCheck.Test.make ~name:"batch = one-at-a-time" ~count:40
@@ -209,7 +214,8 @@ let prop_join_many_equals_sequential =
             List.fold_left
               (fun (h, srch, msgs, aff, upd) (id, bad) ->
                 let h', c =
-                  Tinygroups.Dynamic.join rng_s m_s h ~old_pair ~member_oracle:h2 ~id ~bad
+                  Tinygroups.Dynamic.join_many rng_s m_s h ~old_pair ~member_oracle:h2
+                    ~ids:[ (id, bad) ]
                 in
                 ( h',
                   srch + c.Tinygroups.Dynamic.searches,
@@ -229,16 +235,55 @@ let prop_join_many_equals_sequential =
           && Sim.Metrics.get m_s Sim.Metrics.overlay_rebuilds = k)
         (Lazy.force worlds))
 
+(* The batched departure must leave the same graph and bad ring as
+   the fold of one-element batches, for every construction, over
+   random batches of leaders in random order: a group's leader often
+   departs before or after some of its members, batches reach n - 1
+   so whole groups depart (the drop that would empty a group is
+   skipped, which makes the drop order observable), and a random
+   third of the leaders is marked confused first. The costs are left
+   out: [affected_groups] is counted against the starting overlay by
+   design, and [member_updates] skips drops from a group whose leader
+   departs in the same batch (a known undercount). *)
+let prop_depart_many_equals_sequential =
+  QCheck.Test.make ~name:"random batches = one-at-a-time" ~count:40
+    QCheck.(pair small_nat (int_range 1 95))
+    (fun (seed, k) ->
+      List.for_all
+        (fun (g, _) ->
+          let r = Prng.Rng.create seed in
+          let open Tinygroups.Group_graph in
+          let leaders = Array.copy (leaders g) in
+          let g =
+            assemble ~params:(params g) ~population:(population g) ~overlay:(overlay g)
+              ~groups:(Array.to_list (Array.map (fun w -> (w, group_of g w)) leaders))
+              ~confused:(List.filter (fun _ -> Prng.Rng.int r 3 = 0) (Array.to_list leaders))
+              ()
+          in
+          Prng.Rng.shuffle r leaders;
+          let k = min k (Array.length leaders - 1) in
+          let ids = Array.to_list (Array.sub leaders 0 k) in
+          let batched, _ = Tinygroups.Dynamic.depart_many g ~ids in
+          let sequential =
+            List.fold_left
+              (fun h id -> fst (Tinygroups.Dynamic.depart_many h ~ids:[ id ]))
+              g ids
+          in
+          graphs_equal batched sequential
+          && Adversary.Population.bad_ids (population batched)
+             = Adversary.Population.bad_ids (population sequential))
+        (Lazy.force worlds))
+
 let test_join_many_rejects_present () =
   let g, old_pair = setup ~n:128 ~beta:0.05 () in
   let present = (Tinygroups.Group_graph.leaders g).(0) in
   Alcotest.check_raises "present ID rejected"
-    (Invalid_argument "Dynamic.join: ID already present") (fun () ->
+    (Invalid_argument "Dynamic.join_many: ID already present") (fun () ->
       ignore
         (Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair
            ~member_oracle:h2 ~ids:[ (present, false) ]));
   Alcotest.check_raises "duplicate ID rejected"
-    (Invalid_argument "Dynamic.join: ID already present") (fun () ->
+    (Invalid_argument "Dynamic.join_many: ID already present") (fun () ->
       ignore
         (Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair
            ~member_oracle:h2
@@ -265,16 +310,16 @@ let test_rejected_join_charges_no_pow () =
   let bad = Pow.Controller.cumulative_bad_spend pow in
   let before = Sim.Metrics.to_list (Sim.Metrics.snapshot m) in
   Alcotest.check_raises "present ID rejected"
-    (Invalid_argument "Dynamic.join: ID already present") (fun () ->
+    (Invalid_argument "Dynamic.join_many: ID already present") (fun () ->
       ignore
         (Tinygroups.Dynamic.join_many ~pow (Prng.Rng.split rng) m g ~old_pair
            ~member_oracle:h2
            ~ids:[ (Point.of_float 0.55, false); (present, true) ]));
   Alcotest.check_raises "single join rejected"
-    (Invalid_argument "Dynamic.join: ID already present") (fun () ->
+    (Invalid_argument "Dynamic.join_many: ID already present") (fun () ->
       ignore
-        (Tinygroups.Dynamic.join ~pow (Prng.Rng.split rng) m g ~old_pair ~member_oracle:h2
-           ~id:present ~bad:true));
+        (Tinygroups.Dynamic.join_many ~pow (Prng.Rng.split rng) m g ~old_pair
+           ~member_oracle:h2 ~ids:[ (present, true) ]));
   Alcotest.(check bool) "admitted newcomer paid" true (bad > 0);
   Alcotest.(check int) "good spend" good (Pow.Controller.cumulative_good_spend pow);
   Alcotest.(check int) "bad spend" bad (Pow.Controller.cumulative_bad_spend pow);
@@ -295,10 +340,10 @@ let test_salted_chord_pp_survives_churn () =
     Tinygroups.Dynamic.join_many (Prng.Rng.create 11) (Sim.Metrics.create ()) g ~old_pair
       ~member_oracle:h2 ~ids:(batch_of g ~seed:11 ~k:6)
   in
-  let g, _ = Tinygroups.Dynamic.depart g ~id:leaders.(100) in
+  let g, _ = Tinygroups.Dynamic.depart_many g ~ids:[ leaders.(100) ] in
   let g, _ =
-    Tinygroups.Dynamic.join (Prng.Rng.create 12) (Sim.Metrics.create ()) g ~old_pair
-      ~member_oracle:h2 ~id:(Point.of_float 0.7071) ~bad:false
+    Tinygroups.Dynamic.join_many (Prng.Rng.create 12) (Sim.Metrics.create ()) g ~old_pair
+      ~member_oracle:h2 ~ids:[ (Point.of_float 0.7071, false) ]
   in
   let ring = Adversary.Population.ring (Tinygroups.Group_graph.population g) in
   let ov = Tinygroups.Group_graph.overlay g in
@@ -318,15 +363,16 @@ let test_salted_chord_pp_survives_churn () =
 
 let test_depart_unknown_rejected () =
   let g, _ = setup () in
-  Alcotest.check_raises "unknown" (Invalid_argument "Dynamic.depart: unknown ID") (fun () ->
-      ignore (Tinygroups.Dynamic.depart g ~id:(Point.of_float 0.987654321)))
+  Alcotest.check_raises "unknown" (Invalid_argument "Dynamic.depart_many: unknown ID")
+    (fun () ->
+      ignore (Tinygroups.Dynamic.depart_many g ~ids:[ Point.of_float 0.987654321 ]))
 
 let test_join_then_search_works () =
   let g, old_pair = setup ~beta:0.0 () in
   let id = Point.of_float 0.31415 in
   let g', _ =
-    Tinygroups.Dynamic.join (Prng.Rng.split rng) metrics g ~old_pair ~member_oracle:h2
-      ~id ~bad:false
+    Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair
+      ~member_oracle:h2 ~ids:[ (id, false) ]
   in
   (* Searches from and towards the newcomer succeed. *)
   let o =
@@ -347,14 +393,14 @@ let test_churn_sequence_stays_healthy () =
     let id = Point.of_float (0.001 +. (0.066 *. float_of_int i)) in
     if not (Idspace.Ring.mem id (Adversary.Population.ring (Tinygroups.Group_graph.population !live))) then begin
       let g', _ =
-        Tinygroups.Dynamic.join (Prng.Rng.split rng) metrics !live ~old_pair
-          ~member_oracle:h2 ~id ~bad:(i mod 5 = 0)
+        Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics !live ~old_pair
+          ~member_oracle:h2 ~ids:[ (id, i mod 5 = 0) ]
       in
       live := g'
     end;
     let leaders = Tinygroups.Group_graph.leaders !live in
     let victim = leaders.(Prng.Rng.int rng (Array.length leaders)) in
-    let g'', _ = Tinygroups.Dynamic.depart !live ~id:victim in
+    let g'', _ = Tinygroups.Dynamic.depart_many !live ~ids:[ victim ] in
     live := g''
   done;
   let c = Tinygroups.Group_graph.census !live in
@@ -421,6 +467,7 @@ let () =
           Alcotest.test_case "unknown rejected" `Quick test_depart_unknown_rejected;
           Alcotest.test_case "batch = one-at-a-time" `Quick
             test_depart_many_equals_sequential;
+          QCheck_alcotest.to_alcotest prop_depart_many_equals_sequential;
           Alcotest.test_case "churn sequence" `Slow test_churn_sequence_stays_healthy;
         ] );
       ( "timed-route",

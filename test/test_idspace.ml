@@ -142,7 +142,7 @@ let test_add_remove () =
   let ring2 = Ring.add p ring in
   Alcotest.(check int) "added" 51 (Ring.cardinal ring2);
   Alcotest.(check bool) "mem" true (Ring.mem p ring2);
-  let ring3 = Ring.remove p ring2 in
+  let ring3 = Ring.remove_batch [ p ] ring2 in
   Alcotest.(check int) "removed" 50 (Ring.cardinal ring3);
   (* Original is untouched (persistent structure). *)
   Alcotest.(check bool) "persistent" false (Ring.mem p ring)
@@ -192,7 +192,7 @@ let prop_ring_matches_reference =
           end
           else begin
             reference := List.filter (fun q -> not (Point.equal p q)) !reference;
-            ring := Ring.remove p !ring
+            ring := Ring.remove_batch [ p ] !ring
           end;
           (* Invariants after every op. *)
           if Ring.cardinal !ring <> List.length !reference then ok := false;

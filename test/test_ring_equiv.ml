@@ -163,7 +163,7 @@ let prop_churn_equiv =
             reference := Ref_ring.add p !reference
           end
           else begin
-            ring := Ring.remove p !ring;
+            ring := Ring.remove_batch [ p ] !ring;
             reference := Ref_ring.remove p !reference
           end)
         (churn @ initial);
@@ -179,9 +179,14 @@ let prop_batch_equals_sequential =
       let added = Ring.add_batch batch ring in
       let added_seq = List.fold_left (fun t p -> Ring.add p t) ring batch in
       let removed = Ring.remove_batch batch added in
-      let removed_seq = List.fold_left (fun t p -> Ring.remove p t) added batch in
+      let removed_seq =
+        List.fold_left
+          (fun t p -> Ref_ring.remove p t)
+          (Ref_ring.of_list (Array.to_list (Ring.to_sorted_array added)))
+          batch
+      in
       Ring.to_sorted_array added = Ring.to_sorted_array added_seq
-      && Ring.to_sorted_array removed = Ring.to_sorted_array removed_seq)
+      && Ring.to_sorted_array removed = Ref_ring.to_sorted_array removed_seq)
 
 (* Staged inserts: fresh random points, a cluster packed into one gap
    of the base (consecutive keys after a base point, so the buffer and

@@ -1,5 +1,4 @@
-(* Workloads: the resource universe with Zipf popularity and the
-   churn event streams. *)
+(* Workloads: the resource universe with Zipf popularity. *)
 
 open Idspace
 
@@ -68,33 +67,6 @@ let test_zipf_indices_in_range () =
     Alcotest.(check bool) "in range" true (i >= 0 && i < 100)
   done
 
-let test_churn_adversarial () =
-  match Workload.Churn.adversarial_rejoin 3 with
-  | Workload.Churn.Swap { departing_bad; joining_bad } ->
-      Alcotest.(check bool) "bad leaves" true departing_bad;
-      Alcotest.(check bool) "bad rejoins" true joining_bad
-
-let test_churn_uniform_rates () =
-  let stream = Workload.Churn.uniform rng ~beta:0.3 in
-  let bad_joins = ref 0 in
-  for t = 0 to 9999 do
-    match stream t with
-    | Workload.Churn.Swap { joining_bad; _ } -> if joining_bad then incr bad_joins
-  done;
-  let rate = float_of_int !bad_joins /. 10_000. in
-  Alcotest.(check bool) (Printf.sprintf "join rate %.3f ~ beta" rate) true
-    (Float.abs (rate -. 0.3) < 0.03)
-
-let test_churn_mixed () =
-  let stream = Workload.Churn.mixed rng ~beta:0.0 ~attack_fraction:1.0 in
-  (match stream 0 with
-  | Workload.Churn.Swap { departing_bad; _ } ->
-      Alcotest.(check bool) "all attack" true departing_bad);
-  let benign = Workload.Churn.mixed rng ~beta:0.0 ~attack_fraction:0.0 in
-  match benign 0 with
-  | Workload.Churn.Swap { departing_bad; joining_bad } ->
-      Alcotest.(check bool) "no attack" false (departing_bad || joining_bad)
-
 let prop_sampler_in_range =
   QCheck.Test.make ~name:"zipf sampler stays in range for any exponent" ~count:100
     QCheck.(pair small_int (float_range 0.1 3.0))
@@ -122,12 +94,6 @@ let () =
           Alcotest.test_case "uniform sampler" `Slow test_uniform_sampler;
           Alcotest.test_case "zipf skew" `Slow test_zipf_sampler_skew;
           Alcotest.test_case "zipf range" `Quick test_zipf_indices_in_range;
-        ] );
-      ( "churn",
-        [
-          Alcotest.test_case "adversarial stream" `Quick test_churn_adversarial;
-          Alcotest.test_case "uniform rates" `Slow test_churn_uniform_rates;
-          Alcotest.test_case "mixed stream" `Quick test_churn_mixed;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_sampler_in_range ]);
     ]
